@@ -207,6 +207,19 @@ def reference_rows(workload: str, fracs: tuple[float, ...],
 # -- server harness --------------------------------------------------------------
 
 
+def _kill_group(proc: subprocess.Popen) -> None:
+    """SIGKILL a spawned server and every worker it forked.
+
+    The server leads its own session (``start_new_session``), so its
+    process group holds its workers; signalling only the server's pid
+    would leave them running.
+    """
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass  # the whole group is already gone
+
+
 class _ServerProc:
     """One spawned ``repro serve`` subprocess."""
 
@@ -216,7 +229,7 @@ class _ServerProc:
         self.port = port
 
     def sigkill(self) -> None:
-        self.proc.send_signal(signal.SIGKILL)
+        _kill_group(self.proc)
         self.proc.wait(timeout=30)
 
     def drain(self, timeout_s: float = 120.0) -> int:
@@ -224,17 +237,16 @@ class _ServerProc:
         try:
             return self.proc.wait(timeout=timeout_s)
         except subprocess.TimeoutExpired:
-            self.proc.kill()
+            _kill_group(self.proc)
             self.proc.wait(timeout=30)
             return -9
 
     def ensure_dead(self) -> None:
-        if self.proc.poll() is None:
-            self.proc.kill()
-            try:
-                self.proc.wait(timeout=30)
-            except subprocess.TimeoutExpired:
-                pass
+        _kill_group(self.proc)
+        try:
+            self.proc.wait(timeout=30)
+        except subprocess.TimeoutExpired:
+            pass
 
 
 def _spawn_server(cache_dir: Path, store_dir: Path, env: dict[str, str],
@@ -247,19 +259,21 @@ def _spawn_server(cache_dir: Path, store_dir: Path, env: dict[str, str],
     if resume:
         command.append("--resume")
     proc = subprocess.Popen(command, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True, env=env)
+                            stderr=subprocess.STDOUT, text=True, env=env,
+                            start_new_session=True)
     deadline = time.monotonic() + timeout_s
     assert proc.stdout is not None
     while time.monotonic() < deadline:
         line = proc.stdout.readline()
         if not line:
+            _kill_group(proc)
             raise ServeError(f"campaign server exited early "
                              f"(code {proc.poll()}) before listening")
         if _LISTEN_PREFIX in line:
             address = line.split(_LISTEN_PREFIX, 1)[1].split()[0]
             host, _, port = address.partition(":")
             return _ServerProc(proc, host, int(port))
-    proc.kill()
+    _kill_group(proc)
     raise ServeError("campaign server never printed its listening line")
 
 

@@ -18,7 +18,11 @@ Durability contract:
   intact) and drops any entry whose payload digest does not verify;
 * entries record the *output* of the task, so a resumed sweep replays
   them without recomputation and produces a byte-identical
-  ``results.jsonl`` — the determinism contract survives the crash.
+  ``results.jsonl`` — the determinism contract survives the crash;
+* entries also record the task's artifact key, and a resumed sweep
+  replays an entry only into a task with the same key, so an artifact
+  whose identity changed since the crash is recomputed, as the store
+  would.
 
 Degraded outputs (``_cacheable: false``, e.g. a fallback schedule from a
 budget-starved solver) are deliberately **not** journaled by the sweep:
@@ -32,7 +36,7 @@ import json
 import logging
 import os
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, Mapping, TextIO
 
 from repro.errors import JournalError
 from repro.resilience import faultplane
@@ -91,8 +95,18 @@ class SweepJournal:
             return None
         return record
 
-    def load_completed(self) -> dict[str, dict[str, Any]]:
+    def load_completed(
+        self, keys: Mapping[str, str | None] | None = None,
+    ) -> dict[str, dict[str, Any]]:
         """Outputs of every task the previous run durably finished.
+
+        Args:
+            keys: when given, the artifact key each task id must have
+                been recorded under (None for uncached tasks).  Entries
+                for other task ids, or recorded under another key — a
+                workload source edit, a ``KEY_VERSION`` bump — are
+                dropped, so those tasks recompute instead of replaying
+                a stale artifact.
 
         Raises:
             JournalError: the journal belongs to a different grid or a
@@ -133,6 +147,9 @@ class SweepJournal:
                 output = record.get("output")
                 if not isinstance(task_id, str) or not isinstance(output, dict):
                     continue
+                if keys is not None and (task_id not in keys
+                                         or record.get("key") != keys[task_id]):
+                    continue
                 if record.get("digest") != payload_digest(output):
                     continue  # bit rot: cheaper to recompute than to trust
                 completed[task_id] = output
@@ -157,13 +174,19 @@ class SweepJournal:
                 "fingerprint": self.fingerprint,
             })
 
-    def record(self, task_id: str, output: dict[str, Any]) -> None:
-        """Durably note one finished task (flush + fsync before return)."""
+    def record(self, task_id: str, output: dict[str, Any],
+               key: str | None = None) -> None:
+        """Durably note one finished task (flush + fsync before return).
+
+        ``key`` is the task's artifact key (None for uncached tasks),
+        checked again by :meth:`load_completed`.
+        """
         if self._handle is None:
             raise JournalError("journal not started")
         self._append({
             "type": "task",
             "task": task_id,
+            "key": key,
             "digest": payload_digest(output),
             "output": output,
         })
@@ -172,7 +195,10 @@ class SweepJournal:
         assert self._handle is not None
         if self._broken:
             return
-        text = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+        # Key order is kept, not sorted: a replayed output must iterate
+        # like the fresh one (a profile's block order is the MILP's
+        # variable order), exactly as an artifact-store hit does.
+        text = json.dumps(record, separators=(",", ":")) + "\n"
         torn = faultplane.torn_text(text)
         if torn is not None:
             # Simulated power loss mid-append: appending after the torn

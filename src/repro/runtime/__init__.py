@@ -6,8 +6,8 @@ individually expensive (one simulation per mode just to profile) and
 mutually independent.  This package turns that shape into throughput:
 
 * :mod:`repro.runtime.dag` — each grid point is a small task DAG
-  (``compile -> profile -> params/bound -> optimize -> simulate ->
-  verify``); sweeps merge DAGs and deduplicate shared stages.
+  (``compile -> profile -> bound / optimize -> simulate -> verify``);
+  sweeps merge DAGs and deduplicate shared stages.
 * :mod:`repro.runtime.executor` — a ``ProcessPoolExecutor`` scheduler
   with per-task timeouts, bounded retries with backoff, fault injection
   and graceful degradation (one failed grid point never stops a sweep).

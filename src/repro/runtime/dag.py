@@ -4,9 +4,12 @@ One grid point of the paper's evaluation — (workload, input category,
 seed, mode table, deadline fraction) — is an :class:`ExperimentSpec`,
 and runs as a six-stage pipeline mirroring the paper's Figure 13 flow::
 
-    compile ──> profile ──┬─> params ──> bound
-                          ├─────────────> optimize ──> simulate ──┐
-                          └───────────────────────────────────────┴─> verify
+    compile ──> profile ──┬─> bound
+                          ├─> optimize ──> simulate ──┐
+                          └───────────────────────────┴─> verify
+
+``bound`` reads the Section 3.2 parameters the profile carries (they
+come from its fastest-mode run), so no stage re-simulates.
 
 :func:`build_task_graph` merges the pipelines of a whole sweep into one
 DAG, **deduplicating shared stages**: every experiment on ``gsm`` with
@@ -30,7 +33,6 @@ from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.continuous import continuous_bound
 from repro.errors import OrchestrationError, ScheduleError
-from repro.profiling import extract_params
 from repro.profiling.serialize import (
     profile_from_dict,
     profile_to_dict,
@@ -46,7 +48,7 @@ from repro.verify import tolerances
 from repro.workloads import compile_workload, get_workload
 
 #: Pipeline stages in dependency order.
-TASK_KINDS = ("compile", "profile", "params", "bound", "optimize", "simulate", "verify")
+TASK_KINDS = ("compile", "profile", "bound", "optimize", "simulate", "verify")
 
 
 @dataclass(frozen=True)
@@ -257,11 +259,7 @@ def build_task_graph(
         profile_id = ensure(
             f"profile:{exp.shared_id}", "profile", spec, (compile_id,),
             hashing.profile_key(source, category, seed, machine), eid)
-        params_id = ensure(
-            f"params:{exp.shared_id}", "params", spec, (compile_id,),
-            hashing.params_key(source, category, seed, machine), eid)
-        ensure(
-            f"bound:{eid}", "bound", spec, (profile_id, params_id), None, eid)
+        ensure(f"bound:{eid}", "bound", spec, (profile_id,), None, eid)
         opt_spec = dict(spec)
         if solver_budget_s is not None:
             opt_spec["solver_budget_s"] = solver_budget_s
@@ -316,29 +314,12 @@ def _task_profile(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
     return {"profile": profile_to_dict(profile)}
 
 
-def _task_params(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
-    _, cfg, machine, inputs, registers = _context(spec)
-    params = extract_params(machine, cfg, inputs=inputs, registers=registers)
-    return {
-        "params": {
-            "n_overlap": params.n_overlap,
-            "n_dependent": params.n_dependent,
-            "n_cache": params.n_cache,
-            "t_invariant_s": params.t_invariant_s,
-            "name": params.name,
-        }
-    }
-
-
 def _task_bound(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
-    from repro.core.analytical import ProgramParams
-
     profile = profile_from_dict(deps["profile"]["profile"])
     machine = MachineSpec(spec["levels"], spec["capacitance_uf"],
                           spec.get("fastpath", True)).build()
-    params = ProgramParams(**deps["params"]["params"])
     deadline = profile.deadline_at(spec["deadline_frac"])
-    bound = savings_ratio_discrete(params, deadline, machine.mode_table)
+    bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
     # The achievable-optimum counterpart: energy of the exact continuous
     # schedule (Li-Yao-Yuan) and its savings against the best single
     # mode, the paper's Section 3 "opportunity" restated on profiled
@@ -467,7 +448,6 @@ def _task_verify(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
 _TASK_FNS: dict[str, Callable[[dict[str, Any], dict[str, Any]], dict[str, Any]]] = {
     "compile": _task_compile,
     "profile": _task_profile,
-    "params": _task_params,
     "bound": _task_bound,
     "optimize": _task_optimize,
     "simulate": _task_simulate,

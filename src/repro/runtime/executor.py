@@ -32,11 +32,12 @@ import fnmatch
 import logging
 import multiprocessing
 import os
+import queue
 import signal
 import sys
 import time
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -342,11 +343,20 @@ class WorkerPool:
             processes = getattr(self._executor, "_processes", None) or {}
             return sorted(processes)
 
-    def close(self) -> None:
-        """Shut the pool down; idempotent."""
+    def close(self, kill: bool = False) -> None:
+        """Shut the pool down; idempotent.
+
+        ``kill`` SIGKILLs the workers first (a crash, not a drain), so
+        in-flight tasks fail at once instead of running to completion;
+        queued ones are cancelled either way.
+        """
         with self._lock:
             self._closed = True
             if self._executor is not None:
+                if kill:
+                    processes = getattr(self._executor, "_processes", None) or {}
+                    for process in list(processes.values()):
+                        process.kill()
                 self._executor.shutdown(wait=True, cancel_futures=True)
                 self._executor = None
 
@@ -411,6 +421,11 @@ def run_graph(
     probed: set[str] = set()  # tasks already looked up in the store
     attempts: dict[str, int] = {tid: 0 for tid in order}
     inflight: dict[Future, str] = {}
+    # Pool futures announce completion here through a done callback.
+    # ``concurrent.futures.wait`` would miss a future cancelled by the
+    # pool's shutdown (it waits for a notification only a worker hand-off
+    # sends), leaving this thread blocked forever after an abort.
+    completions: queue.SimpleQueue = queue.SimpleQueue()
     task_spans: dict[str, observe.Span] = {}  # open executor.task spans
     stopping = False
     owned_pool: WorkerPool | None = None
@@ -498,7 +513,9 @@ def run_graph(
             "trace_fresh": pool is not None,
         }
         if pool is not None:
-            inflight[pool.submit(_run_task_entry, payload)] = task.task_id
+            future = pool.submit(_run_task_entry, payload)
+            inflight[future] = task.task_id
+            future.add_done_callback(completions.put)
         else:
             inflight[_InlineFuture(_run_task_entry(payload))] = task.task_id
 
@@ -563,7 +580,7 @@ def run_graph(
                         progressed = True
             if inflight:
                 if pool is not None:
-                    done, _ = wait(list(inflight), return_when=FIRST_COMPLETED)
+                    done = [completions.get()]
                 else:
                     done = list(inflight)
                 for future in done:

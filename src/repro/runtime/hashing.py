@@ -40,9 +40,12 @@ from repro.simulator.machine import Machine
 #: outputs change for identical inputs.  v2: compensated (Neumaier)
 #: energy accounting and the canonical nJ-space transition-cost path
 #: perturb run summaries in the last few ulps, so v1 artifacts must not
-#: be served.  The fast path is deliberately *not* part of any key:
+#: be served.  v3: profiles carry the Section 3.2 parameters of their
+#: fastest-mode run (the separate ``params`` artifact is gone), so a v2
+#: profile — which lacks them — must never reach the ``bound`` stage.
+#: The fast path is deliberately *not* part of any key:
 #: it is bit-exact, so fast and reference runs share artifacts.
-KEY_VERSION = 2
+KEY_VERSION = 3
 
 
 def canonical_json(obj: Any) -> str:
@@ -98,8 +101,8 @@ def artifact_key(kind: str, **parts: Any) -> str:
     """The content address for one artifact kind.
 
     Args:
-        kind: artifact kind tag (``"profile"``, ``"params"``,
-            ``"schedule"``, ``"run-summary"``, ...).
+        kind: artifact kind tag (``"profile"``, ``"schedule"``,
+            ``"run-summary"``, ...).
         **parts: the key document fields (fingerprints, stage params).
 
     Returns:
@@ -120,16 +123,6 @@ def profile_key(source: str, category: str | None, seed: int,
     """Key for a per-mode :class:`~repro.profiling.profile_data.ProfileData`."""
     return artifact_key(
         "profile",
-        workload=workload_fingerprint(source, category, seed),
-        machine=machine_fingerprint(machine),
-    )
-
-
-def params_key(source: str, category: str | None, seed: int,
-               machine: Machine) -> str:
-    """Key for extracted Section 3.2 analytical parameters."""
-    return artifact_key(
-        "params",
         workload=workload_fingerprint(source, category, seed),
         machine=machine_fingerprint(machine),
     )

@@ -186,10 +186,11 @@ def run_sweep(
             "seed": config.seed,
         }),
     )
-    completed = journal.load_completed() if config.resume else {}
-    # Replay only tasks that still exist in this grid.
-    completed = {tid: out for tid, out in completed.items()
-                 if tid in graph.tasks}
+    # Replay only tasks that still exist in this grid, under the same
+    # artifact keys.
+    completed = journal.load_completed(
+        {tid: task.cache_key for tid, task in graph.tasks.items()}
+    ) if config.resume else {}
     if completed:
         logger.info("resuming %d completed tasks from %s",
                     len(completed), journal.path)
@@ -199,7 +200,8 @@ def run_sweep(
         if (result.ok and result.cache != "journal"
                 and result.output is not None
                 and result.output.get("_cacheable", True)):
-            journal.record(result.task_id, result.output)
+            journal.record(result.task_id, result.output,
+                           graph.tasks[result.task_id].cache_key)
         if on_task is not None:
             on_task(result)
 

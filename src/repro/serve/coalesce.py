@@ -64,7 +64,8 @@ class Job:
     error: str | None = None
     http_status: int = 200
     done_event: asyncio.Event = field(default_factory=asyncio.Event)
-    events_cond: asyncio.Condition = field(default_factory=asyncio.Condition)
+    # Set whenever ``events`` grows; each stream clears it before waiting.
+    events_changed: asyncio.Event = field(default_factory=asyncio.Event)
 
     @property
     def job_id(self) -> str:

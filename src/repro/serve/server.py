@@ -286,7 +286,9 @@ class ReproServer:
         for task in list(self._clients):
             task.cancel()
         self._run_threads.shutdown(wait=False, cancel_futures=True)
-        self.pool.close()
+        # Kill, not drain, the workers: a running job's in-flight task
+        # then fails at once and its run thread exits.
+        self.pool.close(kill=True)
         if self.jobstore is not None:
             self.jobstore.close()
 
@@ -331,12 +333,7 @@ class ReproServer:
         """Append a progress event (loop thread only) and wake streams."""
         event = {"t": observe.clock(), "job": job.job_id, **event}
         job.events.append(event)
-
-        async def _notify() -> None:
-            async with job.events_cond:
-                job.events_cond.notify_all()
-
-        asyncio.ensure_future(_notify())
+        job.events_changed.set()
 
     def _emit_threadsafe(self, job: Job, event: dict[str, Any]) -> None:
         assert self._loop is not None
@@ -710,12 +707,12 @@ class ReproServer:
             await writer.drain()
             if job.terminal:
                 break
-            async with job.events_cond:
-                if sent >= len(job.events) and not job.terminal:
-                    try:
-                        await asyncio.wait_for(job.events_cond.wait(), 1.0)
-                    except asyncio.TimeoutError:
-                        pass  # re-check terminal state every second
+            job.events_changed.clear()
+            if sent >= len(job.events) and not job.terminal:
+                try:
+                    await asyncio.wait_for(job.events_changed.wait(), 1.0)
+                except asyncio.TimeoutError:
+                    pass  # re-check terminal state every second
         writer.write(b"0\r\n\r\n")
         await writer.drain()
         return False  # chunked stream ends the connection

@@ -207,16 +207,18 @@ def solve_milp(
         # bounds, so the sparse columns and cost vector are shared.
         problem = RevisedProblem(c, a_ub, b_ub, a_eq, b_eq, bounds)
 
-        def node_solve(node_bounds, warm_basis):
+        def node_solve(node_bounds, warm_basis, timed=True):
             outcome = problem.solve(
                 warm=warm_basis, bounds=node_bounds,
-                max_iter=options.max_lp_iter, time_limit_s=lp_budget())
+                max_iter=options.max_lp_iter,
+                time_limit_s=lp_budget() if timed else None)
             return outcome.result, outcome.basis
     else:
-        def node_solve(node_bounds, warm_basis):
+        def node_solve(node_bounds, warm_basis, timed=True):
             result = solve_lp_dense(
                 c, a_ub, b_ub, a_eq, b_eq, node_bounds,
-                max_iter=options.max_lp_iter, time_limit_s=lp_budget())
+                max_iter=options.max_lp_iter,
+                time_limit_s=lp_budget() if timed else None)
             return result, None
 
     def pick_branch(x: np.ndarray) -> int | None:
@@ -239,7 +241,9 @@ def solve_milp(
             return res.x, res.objective
         return snapped, obj  # polish disagreed: keep the proven incumbent
 
-    root, root_basis = node_solve(bounds, warm_start)
+    # The root relaxation runs under the iteration cap only: it is the
+    # bound every LIMIT result reports, so a time limit must not starve it.
+    root, root_basis = node_solve(bounds, warm_start, timed=False)
     total_lp_iters += root.iterations
     nodes_explored += 1
     if root.status is SolveStatus.INFEASIBLE:

@@ -4,6 +4,9 @@ single-seed end-to-end smoke against real subprocess servers."""
 from __future__ import annotations
 
 import json
+import os
+import time
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +15,7 @@ from repro.resilience.campaign import (
     CampaignConfig,
     CampaignReport,
     SeedResult,
+    _spawn_server,
     _torn_journal_check,
     reference_rows,
     run_campaign,
@@ -100,3 +104,49 @@ def test_single_seed_campaign_end_to_end(tmp_path):
     assert len(report.points_exercised) >= 5
     path = write_report(report, tmp_path / "campaign" / "campaign.json")
     assert json.loads(path.read_text())["violations"] == []
+
+
+def _live_parents() -> dict[int, int]:
+    """pid -> parent pid of every non-zombie process, read from /proc."""
+    parents = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:
+            continue  # exited while we looked
+        state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+        if state != "Z":
+            parents[int(entry)] = int(ppid)
+    return parents
+
+
+def _descendants(pid: int) -> set[int]:
+    parents = _live_parents()
+    found: set[int] = set()
+    frontier = {pid}
+    while frontier:
+        frontier = {child for child, parent in parents.items()
+                    if parent in frontier} - found
+        found |= frontier
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(),
+                    reason="walks the process tree through /proc")
+def test_ensure_dead_leaves_no_server_descendant(tmp_path):
+    """The server's forked workers die with it, not just the server."""
+    server = _spawn_server(tmp_path / "cache", tmp_path / "jobs",
+                           dict(os.environ), resume=False, timeout_s=90.0)
+    try:
+        # The server warms its worker pool before it prints the
+        # listening line, so the workers exist by now.
+        workers = _descendants(server.proc.pid)
+        assert workers
+    finally:
+        server.ensure_dead()
+    deadline = time.monotonic() + 5.0
+    while workers & set(_live_parents()) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert not workers & set(_live_parents())

@@ -13,8 +13,11 @@ import pytest
 
 from repro.errors import JournalError
 from repro.resilience.journal import JOURNAL_FORMAT, SweepJournal, run_fingerprint
-from repro.runtime.cache import payload_digest
+from repro.runtime import hashing
+from repro.runtime.cache import ArtifactStore, payload_digest
+from repro.runtime.dag import ExperimentSpec
 from repro.runtime.sweep import SweepConfig, run_sweep
+from repro.workloads import get_workload
 
 REPO_SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -138,6 +141,98 @@ class TestInProcessResume:
         with pytest.raises(JournalError):
             run_sweep(SweepConfig(workloads=("adpcm",), deadline_fracs=(0.7,),
                                   output_dir=str(out), resume=True))
+
+
+def _read_journal(path: Path) -> tuple[dict, list[dict]]:
+    header, *records = path.read_text().splitlines()
+    return json.loads(header), [json.loads(line) for line in records]
+
+
+def _write_journal(path: Path, header: dict, records: list[dict],
+                   sort_keys: bool = False) -> None:
+    path.write_text("".join(
+        json.dumps(record, sort_keys=sort_keys, separators=(",", ":")) + "\n"
+        for record in (header, *records)))
+
+
+def _kind(record: dict) -> str:
+    return record["task"].split(":", 1)[0]
+
+
+class TestReplayIdentity:
+    def test_replayed_profile_optimizes_like_a_fresh_one(self, tmp_path):
+        """A journaled profile feeds optimize exactly like a fresh one:
+        the journal keeps the profile's key order, which is the MILP's
+        variable order, so not even the last ulp of an energy moves."""
+        config = {"workloads": ("dijkstra",), "deadline_fracs": (0.35,),
+                  "solver_backend": "native", "cache_dir": None}
+        out = tmp_path / "out"
+        first = run_sweep(SweepConfig(**config, output_dir=str(out)))
+        assert first.ok
+        reference = first.results_path.read_bytes()
+
+        header, records = _read_journal(out / "journal.jsonl")
+        _write_journal(out / "journal.jsonl", header,
+                       [r for r in records
+                        if _kind(r) in ("compile", "profile")])
+        resumed = run_sweep(SweepConfig(**config, output_dir=str(out),
+                                        resume=True))
+        assert resumed.ok
+        caches = {r.kind: r.cache for r in resumed.results.values()}
+        assert caches["profile"] == "journal"
+        assert caches["optimize"] == "off"
+        assert resumed.results_path.read_bytes() == reference
+
+    def test_older_build_artifacts_never_reach_bound(self, tmp_path,
+                                                     monkeypatch):
+        """A journal and a store written before profiles carried their
+        Section 3.2 parameters: the sweep recomputes the profile instead
+        of handing a params-less one to ``bound``, and still matches."""
+        config = {"workloads": ("adpcm",), "deadline_fracs": (0.5,)}
+        first = run_sweep(SweepConfig(**config,
+                                      cache_dir=str(tmp_path / "ref-cache"),
+                                      output_dir=str(tmp_path / "ref")))
+        assert first.ok
+        reference = first.results_path.read_bytes()
+
+        # The older journal shape: sorted keys, no per-entry artifact
+        # key, profiles without params, and no bound entry, so bound
+        # has to run on whatever profile the resume produces.
+        header, records = _read_journal(tmp_path / "ref" / "journal.jsonl")
+        old_records = []
+        for record in records:
+            output = record["output"]
+            if _kind(record) == "bound":
+                continue
+            if _kind(record) == "profile":
+                output = {"profile": {k: v for k, v in output["profile"].items()
+                                      if k != "params"}}
+                stale_profile = output
+            old_records.append({"type": "task", "task": record["task"],
+                                "digest": payload_digest(output),
+                                "output": output})
+        out = tmp_path / "out"
+        out.mkdir()
+        _write_journal(out / "journal.jsonl", header, old_records,
+                       sort_keys=True)
+        # The older store: the same profile under the previous key version.
+        spec = ExperimentSpec("adpcm", 0.5)
+        monkeypatch.setattr(hashing, "KEY_VERSION", 2)
+        old_key = hashing.profile_key(get_workload("adpcm").source,
+                                      spec.resolved_category(), spec.seed,
+                                      spec.machine.build())
+        monkeypatch.undo()
+        ArtifactStore(tmp_path / "cache").put(old_key, stale_profile)
+
+        resumed = run_sweep(SweepConfig(**config,
+                                        cache_dir=str(tmp_path / "cache"),
+                                        output_dir=str(out), resume=True))
+        assert resumed.ok
+        results = {r.kind: r for r in resumed.results.values()}
+        assert results["compile"].cache == "journal"
+        assert results["profile"].cache == "miss"  # neither replay nor hit
+        assert results["bound"].ok
+        assert resumed.results_path.read_bytes() == reference
 
 
 def _sweep_cmd(out, cache, *extra):

@@ -21,14 +21,15 @@ class TestGraphShape:
         graph = build_task_graph([exp()])
         kinds = sorted(t.kind for t in graph.tasks.values())
         assert kinds == sorted(
-            ["compile", "profile", "params", "bound", "optimize",
-             "simulate", "verify"]
+            ["compile", "profile", "bound", "optimize", "simulate", "verify"]
         )
 
     def test_deps_follow_the_pipeline(self):
         graph = build_task_graph([exp()])
         by_kind = {t.kind: t for t in graph.tasks.values()}
         assert by_kind["profile"].deps == (by_kind["compile"].task_id,)
+        # The profile carries the analytical parameters bound needs.
+        assert by_kind["bound"].deps == (by_kind["profile"].task_id,)
         assert by_kind["optimize"].deps == (by_kind["profile"].task_id,)
         assert by_kind["simulate"].deps == (by_kind["optimize"].task_id,)
         assert set(by_kind["verify"].deps) == {
@@ -50,9 +51,8 @@ class TestDedup:
     def test_shared_stages_deduplicate_across_deadlines(self):
         graph = build_task_graph([exp(frac=f) for f in (0.3, 0.5, 0.7)])
         kinds = [t.kind for t in graph.tasks.values()]
-        # One compile/profile/params serves all three deadlines.
+        # One compile/profile serves all three deadlines.
         assert kinds.count("profile") == 1
-        assert kinds.count("params") == 1
         assert kinds.count("compile") == 1
         assert kinds.count("optimize") == 3
         profile = next(t for t in graph.tasks.values() if t.kind == "profile")
@@ -83,7 +83,7 @@ class TestCacheKeys:
     def test_expensive_stages_are_keyed(self):
         graph = build_task_graph([exp()])
         keyed = {t.kind for t in graph.tasks.values() if t.cache_key}
-        assert keyed == {"profile", "params", "optimize", "simulate"}
+        assert keyed == {"profile", "optimize", "simulate"}
 
     def test_cheap_stages_are_not(self):
         graph = build_task_graph([exp()])

@@ -65,7 +65,7 @@ class TestFaultsAndRetries:
         assert kinds["simulate"].status == "skipped"
         assert kinds["verify"].status == "skipped"
         # Upstream and sibling tasks are untouched by the failure.
-        assert kinds["profile"].ok and kinds["bound"].ok and kinds["params"].ok
+        assert kinds["profile"].ok and kinds["bound"].ok
 
     def test_transient_fault_is_retried_to_success(self, graph):
         config = ExecutorConfig(

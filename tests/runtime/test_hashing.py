@@ -81,8 +81,12 @@ class TestArtifactKeys:
 
     def test_kinds_never_collide(self, machine):
         source = get_workload("adpcm").source
+        same_parts = {
+            "workload": hashing.workload_fingerprint(source, "default", 0),
+            "machine": hashing.machine_fingerprint(machine),
+        }
         assert (hashing.profile_key(source, "default", 0, machine)
-                != hashing.params_key(source, "default", 0, machine))
+                != hashing.artifact_key("tg-tables", **same_parts))
         assert (hashing.schedule_key(source, "default", 0, machine, 0.5)
                 != hashing.run_summary_key(source, "default", 0, machine, 0.5))
 

@@ -2,10 +2,13 @@
 
 import os
 import signal
+import threading
+import time
 
 from repro import observe
+from repro.runtime import dag
 from repro.runtime.executor import ExecutorConfig, WorkerPool, run_graph
-from repro.runtime.dag import ExperimentSpec, build_task_graph
+from repro.runtime.dag import ExperimentSpec, Task, TaskGraph, build_task_graph
 
 
 def small_graph(frac: float):
@@ -71,3 +74,44 @@ class TestCrashRecovery:
             pool.reset()
             after = pool.warm_up()
             assert before != after
+
+
+def _slow_compile(spec, deps):
+    time.sleep(0.3)
+    return {"workload": spec["workload"]}
+
+
+class TestClose:
+    def test_queued_task_cancelled_by_close_does_not_strand_run_graph(
+            self, monkeypatch):
+        """A pool closed mid-run cancels the tasks still queued in it; the
+        graph run must see those cancellations and return, not wait
+        forever on a future no worker will ever pick up."""
+        # Fork-started workers inherit the patched task table.
+        monkeypatch.setitem(dag._TASK_FNS, "compile", _slow_compile)
+        tasks = {
+            f"compile:{i}": Task(f"compile:{i}", "compile", {"workload": str(i)})
+            for i in range(5)
+        }
+        graph = TaskGraph(tasks=tasks, experiments=[])
+        pool = WorkerPool(1)
+        pool.warm_up()
+        outcome: dict = {}
+
+        def run() -> None:
+            try:
+                outcome["results"] = run_graph(
+                    graph, config=ExecutorConfig(jobs=5, retries=0), pool=pool)
+            except Exception as error:  # noqa: BLE001 - reported below
+                outcome["error"] = error
+
+        runner = threading.Thread(target=run, daemon=True)
+        runner.start()
+        time.sleep(0.15)  # one task running, the rest queued in the pool
+        pool.close()
+        runner.join(10.0)
+        assert not runner.is_alive(), "run_graph stranded by a cancelled task"
+        assert "error" not in outcome, outcome.get("error")
+        statuses = [r.status for r in outcome["results"].values()]
+        assert "failed" in statuses  # the cancelled ones
+        assert "ok" in statuses  # the one already running finished

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -21,14 +22,18 @@ def _config(tmp_path, resume=False):
                        resume=resume)
 
 
-def _poll_done(server, job_id, timeout_s=120.0):
+def _poll_state(server, job_id, states, timeout_s=120.0):
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
         status, document = server.get_json(f"/v1/jobs/{job_id}")
-        if status == 200 and document["job"]["state"] in ("done", "failed"):
+        if status == 200 and document["job"]["state"] in states:
             return document
-        time.sleep(0.1)
-    raise AssertionError(f"job {job_id} never finished")
+        time.sleep(0.05)
+    raise AssertionError(f"job {job_id} never reached {states}")
+
+
+def _poll_done(server, job_id, timeout_s=120.0):
+    return _poll_state(server, job_id, ("done", "failed"), timeout_s)
 
 
 def test_resume_requires_store_dir():
@@ -81,6 +86,26 @@ def test_interrupted_job_is_recovered_and_completes(server_factory, tmp_path):
                 > recovered_before)
     finally:
         second.close()
+
+
+def test_abort_leaves_no_run_thread_behind(server_factory, tmp_path):
+    """abort() fails the running job's in-flight task, so its run thread
+    exits instead of waiting forever on a future nobody resolves."""
+    before = set(threading.enumerate())
+    first = server_factory(_config(tmp_path))
+    status, accepted = first.post_json("/v1/optimize", BODY)
+    assert status in (200, 202)
+    _poll_state(first, accepted["job"]["id"], ("running", "done"))
+    first.abort()
+
+    def run_threads():
+        return [t for t in set(threading.enumerate()) - before
+                if t.name.startswith("repro-serve-run") and t.is_alive()]
+
+    deadline = time.monotonic() + 5.0
+    while run_threads() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert run_threads() == []
 
 
 def test_hand_written_admission_is_recovered(server_factory, tmp_path):

@@ -148,6 +148,44 @@ def test_assignment_style_milp_agrees_with_highs(seed):
     assert ours.objective == pytest.approx(ref.fun, abs=1e-6)
 
 
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 5000))
+def test_branch_and_bound_on_degenerate_onehot_milp(seed):
+    """One-of-N selection with a coupling budget — the DVS formulation's
+    shape, where the fixed-variable suboptimality bug lived (see
+    ``test_simplex_with_many_fixed_variables_matches_highs``)."""
+    gen = np.random.default_rng(seed)
+    groups, options_per = 4, 3
+    n = groups * options_per
+    c = gen.uniform(1, 10, n)
+    times = gen.uniform(1, 5, n)
+    a_eq = np.zeros((groups, n))
+    for g in range(groups):
+        a_eq[g, g * options_per : (g + 1) * options_per] = 1.0
+    b_eq = np.ones(groups)
+    budget = np.array([times.reshape(groups, -1).min(axis=1).sum() * 1.4])
+    bounds = np.array([[0, 1]] * n, dtype=float)
+    integrality = np.ones(n, dtype=bool)
+
+    ours = solve_milp(
+        c, times.reshape(1, -1), budget, a_eq, b_eq, bounds, integrality
+    )
+    from scipy.optimize import Bounds
+
+    ref = milp(
+        c=c,
+        constraints=[
+            LinearConstraint(times.reshape(1, -1), -np.inf, budget),
+            LinearConstraint(a_eq, b_eq, b_eq),
+        ],
+        bounds=Bounds(bounds[:, 0], bounds[:, 1]),
+        integrality=integrality.astype(int),
+    )
+    assert ours.status is SolveStatus.OPTIMAL
+    assert ref.status == 0
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+
+
 class TestLimitIncumbent:
     """Satellite: a tripped limit surrenders its incumbent and bound
     instead of discarding them (the anytime fallback chain depends on

@@ -168,3 +168,38 @@ def test_agrees_with_highs_with_equalities(seed, n):
     ref = linprog(c, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     assert ours.ok and ref.status == 0
     assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10000), n=st.integers(4, 9))
+def test_simplex_with_many_fixed_variables_matches_highs(seed, n):
+    """Pinning a random subset of variables (the branch-and-bound child
+    shape) must not move the native optimum off HiGHS's.
+
+    Regression: children pin binaries at ``lo == up``, and carrying
+    those as degenerate ``z + s = 0`` rows let hundreds of zero-level
+    pivots corrupt the reduced-cost row (the native "optimum" came out
+    ~8% above HiGHS's).  Fixed variables are now substituted out of the
+    standard form.
+    """
+    gen = np.random.default_rng(seed)
+    c = gen.uniform(-4, 4, n)
+    a_ub = gen.uniform(-2, 2, (3, n))
+    x0 = gen.uniform(0, 1, n)
+    b_ub = a_ub @ x0 + gen.uniform(0.2, 1.0, 3)
+    bounds = np.column_stack([np.zeros(n), np.ones(n)])
+    pinned = gen.choice(n, size=max(1, n // 2), replace=False)
+    for index in pinned:
+        value = round(float(x0[index]))
+        bounds[index] = [value, value]
+
+    ref = linprog(c, A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(lo, hi) for lo, hi in bounds], method="highs")
+    ours = solve_lp(c, a_ub, b_ub, bounds=bounds)
+    if ref.status == 2:
+        assert ours.status is SolveStatus.INFEASIBLE
+        return
+    assert ref.status == 0 and ours.ok
+    assert ours.objective == pytest.approx(ref.fun, abs=1e-6, rel=1e-6)
+    for index in pinned:
+        assert ours.x[index] == pytest.approx(bounds[index, 0], abs=1e-9)
