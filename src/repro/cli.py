@@ -384,23 +384,6 @@ def cmd_fuzz(args) -> int:
         if not lp_report.ok:
             exit_code = 1
 
-    if args.continuous_runs:
-        from repro.verify.fuzz import fuzz_continuous
-
-        def cont_progress(done: int, total: int, failures: int) -> None:
-            if done % 10 == 0 or done == total or failures:
-                print(f"  {done}/{total} continuous programs, {failures} "
-                      f"violations", flush=True)
-
-        cont_report = fuzz_continuous(runs=args.continuous_runs,
-                                      seed=args.seed,
-                                      on_progress=cont_progress)
-        print(cont_report.summary)
-        for failure in cont_report.failures:
-            print(f"\n{failure}", file=sys.stderr)
-        if not cont_report.ok:
-            exit_code = 1
-
     if args.taskgraph_runs:
         from repro.taskgraph.oracles import fuzz_taskgraph
 
@@ -482,7 +465,6 @@ def cmd_sweep(args) -> int:
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
         solver_backend=args.solver_backend,
-        continuous_prune=args.continuous_prune,
         resume=args.resume,
         trace=args.trace,
         fastpath=not args.no_fastpath,
@@ -604,7 +586,6 @@ def _cmd_taskgraph_sweep(args) -> int:
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
         solver_backend=args.solver_backend,
-        continuous_prune=args.continuous_prune,
         resume=args.resume,
         trace=args.trace,
     )
@@ -885,8 +866,6 @@ def cmd_loadtest(args) -> int:
 def cmd_bench(args) -> int:
     if args.taskgraph:
         return _cmd_bench_taskgraph(args)
-    if args.continuous:
-        return _cmd_bench_continuous(args)
     if args.summary:
         return _cmd_bench_summary(args)
     if args.solver:
@@ -961,44 +940,6 @@ def _cmd_bench_taskgraph(args) -> int:
           f"{document['headline_gap']:.1%} [written to {path}]")
     if not document["all_verified"]:
         print("bench: a taskgraph case failed its differential check",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    return EXIT_OK
-
-
-def _cmd_bench_continuous(args) -> int:
-    from repro.perf.bench_continuous import (
-        run_continuous_bench,
-        write_bench_json,
-    )
-
-    workloads = tuple(w.strip() for w in args.workloads.split(",")
-                      if w.strip())
-    document = run_continuous_bench(workloads=workloads)
-    print(f"{'case':<10s} {'frac':>5s} {'continuous':>12s} {'milp':>12s} "
-          f"{'gap':>7s} {'prunes':>7s} {'enq off/on':>11s}  identical")
-    for case in document["cases"]:
-        for row in case["rows"]:
-            pruner = row["pruner"]
-            print(f"{case['name']:<10s} {row['deadline_frac']:>5.2f} "
-                  f"{row['continuous_energy_nj']:>12.3g} "
-                  f"{row['milp_energy_nj']:>12.3g} "
-                  f"{row['opportunity_gap']:>6.1%} "
-                  f"{pruner['continuous_prunes']:>7d} "
-                  f"{pruner['nodes_enqueued_off']:>5d}/"
-                  f"{pruner['nodes_enqueued_on']:<5d} "
-                  f"{'yes' if pruner['identical'] else 'NO'}")
-    path = write_bench_json(document, args.output or "BENCH_continuous.json")
-    print(f"\nheadline gap {document['headline_gap']:.1%}, "
-          f"{document['continuous_prunes']} continuous prunes, enqueued "
-          f"{document['nodes_enqueued_off']} -> {document['nodes_enqueued_on']} "
-          f"[written to {path}]")
-    if not document["all_identical"]:
-        print("bench: the continuous incumbent changed a schedule",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    if not document["pruner_effective"]:
-        print("bench: the continuous incumbent never pruned anything",
               file=sys.stderr)
         return EXIT_FAILURE
     return EXIT_OK
@@ -1116,12 +1057,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also differential-fuzz the LP solver cores "
                              "with N pathological instances (revised vs "
                              "dense vs HiGHS)")
-    p_fuzz.add_argument("--continuous-runs", type=int, default=0,
-                        metavar="N",
-                        help="also fuzz the continuous engine against the "
-                             "MILP: dominance chain, YDS invariants and "
-                             "pruner injection invariance over N seeded "
-                             "programs (default 0 = skip)")
     p_fuzz.add_argument("--taskgraph-runs", type=int, default=0, metavar="N",
                         help="also fuzz the taskgraph family with N seeded "
                              "(graph, cores, deadline) instances against "
@@ -1185,15 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "(falls back through solver tiers; exit 3 "
                               "when any solve degrades)")
     p_sweep.add_argument("--solver-backend", default="auto",
-                         choices=("auto", "scipy", "native", "continuous"),
+                         choices=DVSOptimizer.BACKENDS,
                          help="optimize backend (default auto; native "
-                              "enables warm-started deadline chains; "
-                              "continuous solves the exact relaxation and "
-                              "rounds up — deterministic, never times out)")
-    p_sweep.add_argument("--continuous-prune", action="store_true",
-                         help="warm-start the native branch and bound with "
-                              "the continuous round-up incumbent (pure "
-                              "accelerator: results are byte-identical)")
+                              "enables warm-started deadline chains)")
     p_sweep.add_argument("--solver-engine", default=None,
                          choices=("revised", "dense"),
                          help="native LP core (default revised; dense is "
@@ -1261,7 +1190,7 @@ def build_parser() -> argparse.ArgumentParser:
                                  "task (falls back through MILP incumbent "
                                  "then greedy; exit 3 when degraded)")
     p_tg_sweep.add_argument("--solver-backend", default="auto",
-                            choices=("auto", "scipy", "native"),
+                            choices=DVSOptimizer.BACKENDS,
                             help="MILP backend for tg-solve tasks")
     p_tg_sweep.add_argument("--trace", action="store_true",
                             help="collect spans/metrics and write "
@@ -1276,7 +1205,7 @@ def build_parser() -> argparse.ArgumentParser:
                              metavar="SECONDS",
                              help="optional per-solve time limit")
     p_tg_verify.add_argument("--solver-backend", default="auto",
-                             choices=("auto", "scipy", "native"),
+                             choices=DVSOptimizer.BACKENDS,
                              help="MILP backend (default auto)")
     p_tg_verify.set_defaults(fn=cmd_taskgraph)
 
@@ -1297,11 +1226,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="benchmark the LP solver engines over the "
                               "Fig. 17/18 deadline sweep instead of the "
                               "simulator")
-    p_bench.add_argument("--continuous", action="store_true",
-                         help="benchmark the continuous-voltage engine: "
-                              "opportunity gap vs the discrete MILP and "
-                              "the warm-incumbent pruner A/B (writes "
-                              "BENCH_continuous.json)")
     p_bench.add_argument("--taskgraph", action="store_true",
                          help="benchmark the taskgraph MILP across core "
                               "counts (writes BENCH_taskgraph.json)")
@@ -1443,7 +1367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--retries", type=int, default=1,
                          help="retry budget per task (default 1)")
     p_serve.add_argument("--solver-backend", default="auto",
-                         choices=("auto", "scipy", "native"),
+                         choices=DVSOptimizer.BACKENDS,
                          help="default MILP backend for requests that "
                               "do not choose one (default auto)")
     p_serve.add_argument("--tenant-weight", action="append", default=[],

@@ -22,7 +22,7 @@ optimality can be affected (the paper's Table 3 result).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import observe
 from repro.errors import ModelError, ScheduleError
@@ -58,10 +58,6 @@ class MilpFormulation:
     deadline_s: float = 0.0
     num_paths: int = 0
     build_time_s: float = 0.0
-    # Per-path transition auxiliaries (in_vars, out_vars, e_var, t_var) —
-    # kept so an external integral point can be lifted into the model's
-    # variable space (see incumbent_vector).
-    aux_paths: list = field(default_factory=list)
 
     def solve(self, backend: str = "auto", **options) -> Solution:
         """Solve and return the raw solver solution."""
@@ -92,31 +88,6 @@ class MilpFormulation:
     def predicted_time(self, solution: Solution) -> float:
         """Deadline-constraint LHS at the solution (seconds)."""
         return self.deadline_expr.value(solution.x)
-
-    def incumbent_vector(self, rep_modes: dict[Edge, int]):
-        """Lift a per-representative mode choice into model space.
-
-        Returns ``(x, objective, time_s)`` — the full variable vector
-        (binaries set, transition auxiliaries at their implied absolute
-        values), the model objective at that point, and the deadline-row
-        value.  The point is feasible by construction whenever
-        ``time_s <= deadline_s``, which makes it a sound warm incumbent
-        for branch and bound over this exact model.
-        """
-        import numpy as np
-
-        x = np.zeros(len(self.model.variables))
-        for rep in self.independent_edges:
-            x[self.edge_vars[rep][rep_modes[rep]].index] = 1.0
-        voltages = self.mode_table.voltages()
-        v_squared = [v * v for v in voltages]
-        for in_vars, out_vars, e_var, t_var in self.aux_paths:
-            m_in = next(m for m, var in enumerate(in_vars) if x[var.index] > 0.5)
-            m_out = next(m for m, var in enumerate(out_vars) if x[var.index] > 0.5)
-            x[e_var.index] = abs(v_squared[m_in] - v_squared[m_out])
-            x[t_var.index] = abs(voltages[m_in] - voltages[m_out])
-        objective = self.model.objective.value(x)
-        return x, float(objective), float(self.deadline_expr.value(x))
 
 
 def build_formulation(
@@ -180,7 +151,6 @@ def build_formulation(
 
     # Transition auxiliaries over profiled local paths.
     num_paths = 0
-    aux_paths: list = []
     if not costs.is_free:
         for (h, i, j), count in profile.path_counts.items():
             in_vars = edge_vars.get((h, i))
@@ -205,7 +175,6 @@ def build_formulation(
             model.add_constraint(-1.0 * t_var <= delta_v, name=f"abs_t-[{h}->{i}->{j}]")
             energy_terms.add_term(e_var, count * costs.ce_nj_per_v2)
             time_terms.add_term(t_var, count * costs.ct_s_per_v)
-            aux_paths.append((in_vars, out_vars, e_var, t_var))
 
     # Emit the deadline row in deadline-relative units (rhs = 1).  Raw
     # per-edge times are ~1e-9..1e-5 s, far below solver feasibility
@@ -224,5 +193,4 @@ def build_formulation(
         deadline_s=deadline_s,
         num_paths=num_paths,
         build_time_s=observe.end_span(build_span).elapsed_s,
-        aux_paths=aux_paths,
     )

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from repro import observe
 from repro.errors import ScheduleError
 from repro.ir.cfg import CFG
-from repro.solver.solution import SolveStatus
 from repro.verify.certificate import CertificateReport, verify_certificate
 from repro.core.milp.filtering import FilterResult, filter_edges, no_filtering
 from repro.core.milp.formulation import (
@@ -93,20 +92,16 @@ class DVSOptimizer:
             the optimization target.
         filter_threshold: Section 5.2 energy-tail threshold (paper: 0.02);
             pass 0 to disable filtering.
-        backend: solver backend ("auto", "scipy", "native", or
-            "continuous" — the exact continuous-voltage engine of
-            :mod:`repro.core.continuous`, whose rounded-up discrete
-            schedule is feasible but not proven optimal).
+        backend: solver backend, one of :attr:`BACKENDS`.
         solver_options: extra keyword options forwarded to every solve
             (e.g. ``solver_engine`` to pick the native LP core, or
             ``warm_key`` so a sweep's consecutive deadlines hand their
-            basis and pseudocosts to each other; ``continuous_prune``
-            seeds the native branch-and-bound with the continuous
-            round-up as a warm incumbent).  Execution hints only — they
-            never change the optimum.
+            basis and pseudocosts to each other).  Execution hints only —
+            they never change the optimum.
     """
 
-    BACKENDS = ("auto", "scipy", "native", "continuous")
+    #: The solver backends every front end (CLI, service protocol) accepts.
+    BACKENDS = ("auto", "scipy", "native")
 
     def __init__(
         self,
@@ -205,22 +200,11 @@ class DVSOptimizer:
                 self, cfg, deadline_s, profile, budget_s,
                 use_filtering=use_filtering, hoist=hoist,
             )
-        if self.backend == "continuous":
-            return self._optimize_continuous(
-                cfg, deadline_s, profile, use_filtering, hoist
-            )
         formulation, filter_result = self.build(profile, deadline_s, use_filtering)
-
-        options = dict(self.solver_options)
-        if options.pop("continuous_prune", False):
-            incumbent = self.continuous_incumbent(
-                profile, deadline_s, formulation, filter_result
-            )
-            if incumbent is not None:
-                options["incumbent"] = incumbent
         with observe.span("optimizer.optimize", program=profile.name,
                           deadline_s=deadline_s) as sp:
-            solution = formulation.solve(backend=self.backend, **options)
+            solution = formulation.solve(backend=self.backend,
+                                         **self.solver_options)
         solve_time = sp.elapsed_s
         if not solution.ok:
             raise ScheduleError(
@@ -247,123 +231,6 @@ class DVSOptimizer:
             optimality_gap=solution.optimality_gap(),
         )
 
-    # -- the exact continuous-voltage engine ---------------------------------------
-
-    def continuous_bound(self, profile: ProfileData, deadline_s: float):
-        """Exact continuous-voltage optimum (nJ lower bound) for a profile.
-
-        See :func:`repro.core.continuous.continuous_bound`; this is the
-        achievable-optimum upgrade of the paper's Section 3 analytical
-        bound, computed by the Li-Yao-Yuan O(n^2) engine.
-        """
-        from repro.core.continuous import continuous_bound
-
-        return continuous_bound(profile, self.machine.mode_table, deadline_s)
-
-    def continuous_incumbent(
-        self,
-        profile: ProfileData,
-        deadline_s: float,
-        formulation: MilpFormulation,
-        filter_result: FilterResult | None,
-    ):
-        """Warm B&B incumbent ``(x, objective)`` from the continuous round-up.
-
-        Returns None when the bound or round-up is unavailable (e.g. a
-        single-mode profile or an infeasible deadline) — pruning is an
-        accelerator, never a prerequisite.  The vector is checked against
-        the formulation's own deadline row before it is handed over, so
-        an injected incumbent is always a feasible point of the exact
-        model being solved.
-        """
-        from repro.core.continuous import continuous_bound, round_up_schedule
-
-        try:
-            bound = continuous_bound(profile, self.machine.mode_table, deadline_s)
-            rounded = round_up_schedule(
-                profile, self.machine.mode_table, deadline_s, bound.speeds,
-                self.machine.transition_model, filter_result,
-            )
-        except ScheduleError:
-            return None
-        if rounded is None:
-            return None
-        x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-        if time_s > deadline_s:
-            return None
-        observe.add("optimizer.continuous_incumbents")
-        return x, objective
-
-    def _optimize_continuous(
-        self,
-        cfg: CFG,
-        deadline_s: float,
-        profile: ProfileData,
-        use_filtering: bool | None,
-        hoist: bool,
-    ) -> OptimizationOutcome:
-        """The ``backend="continuous"`` path: exact continuous optimum,
-        rounded up to a feasible discrete schedule.
-
-        The outcome's ``predicted_energy_nj`` is the rounded schedule's
-        exact model objective (a feasible point, not a proven optimum —
-        the solution status is FEASIBLE and ``optimality_gap`` prices it
-        against the continuous lower bound).  Never times out: the whole
-        path is O(n^2) + a handful of profile replays.
-        """
-        from repro.core.continuous import continuous_bound, round_up_schedule
-        from repro.verify.schedule_check import check_schedule
-
-        formulation, filter_result = self.build(profile, deadline_s, use_filtering)
-        with observe.span("optimizer.continuous", program=profile.name,
-                          deadline_s=deadline_s) as sp:
-            bound = continuous_bound(profile, self.machine.mode_table, deadline_s)
-            rounded = round_up_schedule(
-                profile, self.machine.mode_table, deadline_s, bound.speeds,
-                self.machine.transition_model, filter_result,
-            )
-            if rounded is None:
-                raise ScheduleError(
-                    f"deadline {deadline_s:.6g}s infeasible for {profile.name!r}: "
-                    "even the all-fastest schedule misses it"
-                )
-            x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-        schedule = rounded.schedule
-        schedule.validate_against(cfg)
-        if hoist:
-            schedule = schedule.hoist_silent(profile)
-        feasibility = check_schedule(
-            schedule, cfg, profile, self.machine.mode_table,
-            self.machine.transition_model, deadline_s,
-        )
-        if not feasibility.ok:
-            raise ScheduleError(
-                f"continuous round-up failed its feasibility replay: "
-                f"{feasibility.summary}"
-            )
-        solution = Solution(
-            status=SolveStatus.FEASIBLE,
-            objective=objective,
-            x=x,
-            backend="continuous",
-            best_bound=bound.energy_nj,
-        )
-        gap = max(0.0, (objective - bound.energy_nj) / max(1.0, abs(objective)))
-        return OptimizationOutcome(
-            schedule=schedule,
-            solution=solution,
-            formulation=formulation,
-            profile=profile,
-            predicted_energy_nj=objective,
-            predicted_time_s=time_s,
-            solve_time_s=sp.elapsed_s,
-            filter_result=filter_result,
-            certificate=None,
-            fallback_tier="continuous",
-            optimality_gap=gap,
-            schedule_check=feasibility,
-        )
-
     def optimize_multi(
         self,
         cfg: CFG,
@@ -386,12 +253,10 @@ class DVSOptimizer:
             transition_model=self.machine.transition_model,
             filter_result=filter_result,
         )
-        options = dict(self.solver_options)
-        options.pop("continuous_prune", None)  # single-profile hint only
-        backend = self.backend if self.backend != "continuous" else "auto"
         with observe.span("optimizer.optimize_multi",
                           categories=len(categories)) as sp:
-            solution = formulation.solve(backend=backend, **options)
+            solution = formulation.solve(backend=self.backend,
+                                         **self.solver_options)
         solve_time = sp.elapsed_s
         if not solution.ok:
             raise ScheduleError(

@@ -9,12 +9,7 @@ budget and degrades through a fallback chain instead of raising:
 2. **Native simplex + branch-and-bound** with the remaining budget — the
    dependency-free backend; its ``LIMIT`` machinery already keeps the
    best incumbent and the tightest open bound.
-3. **Continuous round-up** (:mod:`repro.core.continuous`) — the exact
-   Li–Yao–Yuan continuous-voltage optimum rounded up to discrete modes.
-   Deterministic polynomial time, so it *cannot* time out, and it prices
-   its own gap against the continuous lower bound; feasible whenever the
-   all-fastest schedule meets the deadline.
-4. **Greedy heuristic** (:func:`repro.core.baselines.greedy.greedy_schedule`)
+3. **Greedy heuristic** (:func:`repro.core.baselines.greedy.greedy_schedule`)
    — O(blocks × modes) construction from the profiled Table-7 style
    parameters; feasible by construction whenever any single mode meets
    the deadline, i.e. whenever the problem is feasible at all.
@@ -31,8 +26,9 @@ before it is accepted:
 A tier whose output fails a gate is treated exactly like a tier that
 crashed: the chain moves on.  The returned outcome names the accepted
 tier, reports the optimality gap against the best proven lower bound
-(the MILP dual bound, or the LP relaxation for the greedy tier) and
-records every attempt so manifests can explain *why* a run degraded.
+(the MILP dual bound, else the closed-form relaxation bound of
+:mod:`repro.core.relaxation`, which needs no solve) and records every
+attempt so manifests can explain *why* a run degraded.
 
 The only exception that escapes is genuine infeasibility: a deadline
 below the all-fastest runtime has no schedule in any tier, and
@@ -49,6 +45,7 @@ import numpy as np
 
 from repro import observe
 from repro.core.baselines.greedy import greedy_schedule
+from repro.core.relaxation import relaxation_bound
 from repro.errors import ScheduleError
 from repro.solver.solution import Solution, SolveStatus
 from repro.verify.certificate import verify_certificate
@@ -58,13 +55,8 @@ from repro.verify.schedule_check import check_schedule
 #: remaining the chain skips straight to cheaper tiers.
 MIN_TIER_BUDGET_S = 0.01
 
-#: Budget slice allowed for the LP-relaxation bound that prices the
-#: greedy tier's optimality gap (skipped silently on failure).
-RELAX_BOUND_BUDGET_S = 0.25
-
 TIER_SCIPY = "milp-scipy"
 TIER_NATIVE = "milp-native"
-TIER_CONTINUOUS = "continuous"
 TIER_GREEDY = "greedy"
 
 logger = logging.getLogger("repro.anytime")
@@ -84,17 +76,9 @@ class TierAttempt:
         return f"{self.tier}: {verdict} ({self.detail})"
 
 
-def _lp_relaxation_bound(formulation, backend: str, time_limit: float) -> float | None:
-    """Lower bound from the LP relaxation, or None when unavailable."""
-    try:
-        relaxed = formulation.model.solve(
-            backend=backend, relax=True, time_limit=time_limit
-        )
-    except Exception:  # noqa: BLE001 — a bound is optional, a crash is not
-        return None
-    if relaxed.status is SolveStatus.OPTIMAL:
-        return relaxed.objective
-    return None
+def _gap(energy_nj: float, bound_nj: float) -> float:
+    """Relative gap of a feasible energy over a proven lower bound."""
+    return max(0.0, (energy_nj - bound_nj) / max(1.0, abs(energy_nj)))
 
 
 def optimize_anytime(
@@ -156,10 +140,9 @@ def optimize_anytime(
 
     # -- MILP tiers -------------------------------------------------------------
     tiers = []
-    if optimizer.backend != "continuous":
-        if optimizer.backend in ("auto", "scipy"):
-            tiers.append((TIER_SCIPY, "scipy"))
-        tiers.append((TIER_NATIVE, "native"))
+    if optimizer.backend in ("auto", "scipy"):
+        tiers.append((TIER_SCIPY, "scipy"))
+    tiers.append((TIER_NATIVE, "native"))
 
     for tier, backend in tiers:
         left = remaining()
@@ -199,12 +182,8 @@ def optimize_anytime(
 
             gap = solution.optimality_gap()
             if gap is None:
-                bound = _lp_relaxation_bound(
-                    formulation, backend, max(remaining(), RELAX_BOUND_BUDGET_S)
-                )
-                if bound is not None:
-                    gap = max(0.0, (solution.objective - bound)
-                              / max(1.0, abs(solution.objective)))
+                gap = _gap(solution.objective,
+                           relaxation_bound(profile, deadline_s))
             proven = solution.ok
             attempts.append(TierAttempt(
                 tier, True,
@@ -231,78 +210,6 @@ def optimize_anytime(
             schedule_check=feasibility,
         )
 
-    # -- continuous round-up tier -----------------------------------------------
-    # Deterministic polynomial time: this tier is exempt from the budget
-    # check — it cannot time out, which is exactly why it sits between
-    # the budgeted MILP tiers and the last-resort greedy.
-    from repro.core.continuous import continuous_bound, round_up_schedule
-
-    with observe.span("anytime.tier", tier=TIER_CONTINUOUS) as tsp:
-        cont_outcome = None
-        try:
-            cont_bound = continuous_bound(
-                profile, machine.mode_table, deadline_s
-            )
-            rounded = round_up_schedule(
-                profile, machine.mode_table, deadline_s, cont_bound.speeds,
-                machine.transition_model, filter_result,
-            )
-        except ScheduleError as error:
-            reject(TierAttempt(TIER_CONTINUOUS, False, str(error), tsp.elapsed_s))
-            rounded = None
-        else:
-            if rounded is None:
-                reject(TierAttempt(
-                    TIER_CONTINUOUS, False,
-                    "all-fastest schedule misses the deadline", tsp.elapsed_s,
-                ))
-        if rounded is not None:
-            x, objective, time_s = formulation.incumbent_vector(rounded.rep_modes)
-            try:
-                rounded.schedule.validate_against(cfg)
-            except ScheduleError as error:
-                reject(TierAttempt(TIER_CONTINUOUS, False, str(error), tsp.elapsed_s))
-            else:
-                feasibility, final = gate_schedule(rounded.schedule)
-                if not feasibility.ok:
-                    reject(TierAttempt(
-                        TIER_CONTINUOUS, False, feasibility.summary, tsp.elapsed_s
-                    ))
-                else:
-                    gap = max(0.0, (objective - cont_bound.energy_nj)
-                              / max(1.0, abs(objective)))
-                    attempts.append(TierAttempt(
-                        TIER_CONTINUOUS, True,
-                        f"round-up from continuous optimum, gap {gap:.3%}",
-                        tsp.elapsed_s,
-                    ))
-                    observe.add(f"anytime.tier.{TIER_CONTINUOUS}")
-                    tsp.set(accepted=True)
-                    solution = Solution(
-                        status=SolveStatus.FEASIBLE,
-                        objective=objective,
-                        x=x,
-                        backend="continuous",
-                        best_bound=cont_bound.energy_nj,
-                    )
-                    cont_outcome = OptimizationOutcome(
-                        schedule=final,
-                        solution=solution,
-                        formulation=formulation,
-                        profile=profile,
-                        predicted_energy_nj=objective,
-                        predicted_time_s=time_s,
-                        solve_time_s=observe.clock() - start,
-                        filter_result=filter_result,
-                        certificate=None,
-                        fallback_tier=TIER_CONTINUOUS,
-                        optimality_gap=gap,
-                        tier_attempts=tuple(attempts),
-                        schedule_check=feasibility,
-                    )
-    if cont_outcome is not None:
-        return cont_outcome
-
     # -- greedy tier ------------------------------------------------------------
     with observe.span("anytime.tier", tier=TIER_GREEDY) as tsp:
         # Raises ScheduleError when no single mode meets the deadline; such a
@@ -320,17 +227,12 @@ def optimize_anytime(
             raise ScheduleError(
                 f"greedy fallback failed its feasibility replay: {feasibility.summary}"
             )
-        bound = _lp_relaxation_bound(formulation, optimizer.backend
-                                     if optimizer.backend != "auto" else "auto",
-                                     RELAX_BOUND_BUDGET_S)
-        gap = None
-        if bound is not None:
-            gap = max(0.0, (greedy.predicted_energy_nj - bound)
-                      / max(1.0, abs(greedy.predicted_energy_nj)))
+        bound = relaxation_bound(profile, deadline_s)
+        gap = _gap(greedy.predicted_energy_nj, bound)
         attempts.append(TierAttempt(
             TIER_GREEDY, True,
-            f"{greedy.moves_taken}/{greedy.moves_considered} moves"
-            + (f", gap {gap:.3%}" if gap is not None else ", gap unknown"),
+            f"{greedy.moves_taken}/{greedy.moves_considered} moves, "
+            f"gap {gap:.3%}",
             tsp.elapsed_s,
         ))
         observe.add(f"anytime.tier.{TIER_GREEDY}")

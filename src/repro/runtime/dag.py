@@ -31,7 +31,7 @@ from typing import Any, Callable
 
 from repro.core import DVSOptimizer
 from repro.core.analytical import savings_ratio_discrete
-from repro.core.continuous import continuous_bound
+from repro.core.relaxation import relaxation_bound
 from repro.errors import OrchestrationError, ScheduleError
 from repro.profiling.serialize import (
     profile_from_dict,
@@ -49,6 +49,13 @@ from repro.workloads import compile_workload, get_workload
 
 #: Pipeline stages in dependency order.
 TASK_KINDS = ("compile", "profile", "bound", "optimize", "simulate", "verify")
+
+#: Journal identity of ``bound`` outputs, which have no artifact key.
+#: ``--resume`` replays an entry only into a task with the identity it
+#: was recorded under, so a journal written before the stage's fields
+#: last changed recomputes ``bound`` instead of replaying stale fields.
+#: v2: the relaxation bound replaced the continuous-engine fields.
+BOUND_JOURNAL_KEY = "bound-v2"
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,11 @@ class Task:
     cache_key: str | None = None  # None -> never memoized
     experiments: tuple[str, ...] = ()  # experiment ids needing this task
 
+    @property
+    def journal_key(self) -> str | None:
+        """Identity a journal entry must carry to replay into this task."""
+        return BOUND_JOURNAL_KEY if self.kind == "bound" else self.cache_key
+
 
 @dataclass
 class TaskGraph:
@@ -178,7 +190,6 @@ def build_task_graph(
     experiments: list[ExperimentSpec],
     solver_budget_s: float | None = None,
     solver_backend: str = "auto",
-    continuous_prune: bool = False,
 ) -> TaskGraph:
     """Merge per-experiment pipelines into one deduplicated DAG.
 
@@ -193,14 +204,7 @@ def build_task_graph(
             "scipy", "native").  Like ``solver_budget_s`` (and the
             fastpath knob), an execution hint excluded from cache keys:
             every backend must produce the identical optimum, and the
-            certificate/replay checks enforce that.  The "continuous"
-            backend is the exception — it returns a different
-            (round-up) schedule by design, so its optimize/simulate
-            artifacts are keyed under ``method="continuous"``.
-        continuous_prune: warm-start the native branch and bound with
-            the continuous round-up incumbent.  An execution hint: the
-            pruner may only skip work, never change the answer (enforced
-            by the fuzz battery), so cache keys are unchanged.
+            certificate/replay checks enforce that.
     """
     if not experiments:
         raise OrchestrationError("sweep grid is empty")
@@ -219,8 +223,7 @@ def build_task_graph(
         if not rest:
             return tg_graph
         merged = build_task_graph(rest, solver_budget_s=solver_budget_s,
-                                  solver_backend=solver_backend,
-                                  continuous_prune=continuous_prune)
+                                  solver_backend=solver_backend)
         merged.tasks.update(tg_graph.tasks)
         merged.experiments.extend(tg_graph.experiments)
         merged.validate()
@@ -265,19 +268,15 @@ def build_task_graph(
             opt_spec["solver_budget_s"] = solver_budget_s
         if solver_backend != "auto":
             opt_spec["solver_backend"] = solver_backend
-        if continuous_prune:
-            opt_spec["continuous_prune"] = True
         if opt_spec == spec:
             opt_spec = spec
-        method = "continuous" if solver_backend == "continuous" else "milp"
         optimize_id = ensure(
             f"optimize:{eid}", "optimize", opt_spec, (profile_id,),
-            hashing.schedule_key(source, category, seed, machine, frac,
-                                 method=method), eid)
+            hashing.schedule_key(source, category, seed, machine, frac), eid)
         simulate_id = ensure(
             f"simulate:{eid}", "simulate", spec, (optimize_id,),
-            hashing.run_summary_key(source, category, seed, machine, frac,
-                                    method=method), eid)
+            hashing.run_summary_key(source, category, seed, machine, frac),
+            eid)
         ensure(
             f"verify:{eid}", "verify", spec,
             (profile_id, optimize_id, simulate_id), None, eid)
@@ -320,26 +319,25 @@ def _task_bound(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]:
                           spec.get("fastpath", True)).build()
     deadline = profile.deadline_at(spec["deadline_frac"])
     bound = savings_ratio_discrete(profile.params, deadline, machine.mode_table)
-    # The achievable-optimum counterpart: energy of the exact continuous
-    # schedule (Li-Yao-Yuan) and its savings against the best single
-    # mode, the paper's Section 3 "opportunity" restated on profiled
-    # numbers.  Absent (None) when the deadline or profile is outside
-    # the engine's regime — an absence, never a crash.
-    continuous_energy = continuous_savings = None
+    # The profiled counterpart: the MILP's LP relaxation without
+    # transitions, a lower bound on any schedule's energy, and the
+    # savings it allows against the best single mode — the paper's
+    # Section 3 "opportunity" restated on profiled numbers.  Absent
+    # (None) when no schedule meets the deadline — never a crash.
+    relaxation_energy = relaxation_savings = None
     try:
-        cont = continuous_bound(profile, machine.mode_table, deadline)
-        continuous_energy = float(cont.energy_nj)
+        relaxation_energy = relaxation_bound(profile, deadline)
         _, baseline = DVSOptimizer(machine).best_single_mode(profile, deadline)
         if baseline > 0:
-            continuous_savings = float(1.0 - cont.energy_nj / baseline)
+            relaxation_savings = 1.0 - relaxation_energy / baseline
     except ScheduleError:
         pass
     return {
         "deadline_s": deadline,
         # nan (infeasible) is not JSON; record the absence explicitly.
         "savings_bound": None if bound != bound else bound,
-        "continuous_energy_nj": continuous_energy,
-        "continuous_savings_bound": continuous_savings,
+        "relaxation_energy_nj": relaxation_energy,
+        "relaxation_savings_bound": relaxation_savings,
     }
 
 
@@ -356,25 +354,15 @@ def _task_optimize(spec: dict[str, Any], deps: dict[str, Any]) -> dict[str, Any]
                  else f"alpha-{spec['levels']}")
     warm_key = (f"{spec['workload']}.{spec['category']}.s{spec['seed']}"
                 f".{table_tag}.c{spec['capacitance_uf']:g}")
-    solver_options: dict[str, Any] = {"warm_key": warm_key}
-    if spec.get("continuous_prune"):
-        solver_options["continuous_prune"] = True
-    backend = spec.get("solver_backend", "auto")
     optimizer = DVSOptimizer(
         machine,
-        backend=backend,
-        solver_options=solver_options,
+        backend=spec.get("solver_backend", "auto"),
+        solver_options={"warm_key": warm_key},
     )
     outcome = optimizer.optimize(
         cfg, deadline, profile=profile, budget_s=spec.get("solver_budget_s")
     )
-    # The continuous method is FEASIBLE by contract (a round-up, not a
-    # proven optimum) yet fully deterministic, so when it was *asked for*
-    # its output is neither degraded nor uncacheable — a starved MILP
-    # falling back to the continuous tier, by contrast, is both.
-    continuous_requested = (backend == "continuous"
-                            and outcome.fallback_tier == "continuous")
-    degraded = not outcome.solution.ok and not continuous_requested
+    degraded = not outcome.solution.ok
     return {
         "schedule": schedule_to_dict(outcome.schedule),
         "deadline_s": deadline,

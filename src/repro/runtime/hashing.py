@@ -128,42 +128,25 @@ def profile_key(source: str, category: str | None, seed: int,
     )
 
 
-def _method_part(method: str) -> dict[str, Any]:
-    """Extra key fields for a non-default optimization method.
-
-    MILP backends all return the same proven optimum, so they share one
-    identity (and the solver backend/budget stay execution hints).  The
-    ``continuous`` method returns a *different* deterministic schedule —
-    the continuous round-up — so its artifacts must live under their own
-    keys.  The default contributes nothing, keeping existing MILP keys
-    byte-stable.
-    """
-    return {} if method == "milp" else {"method": method}
-
-
 def schedule_key(source: str, category: str | None, seed: int,
-                 machine: Machine, deadline_frac: float,
-                 method: str = "milp") -> str:
+                 machine: Machine, deadline_frac: float) -> str:
     """Key for an optimized schedule (plus solver stats) at one deadline."""
     return artifact_key(
         "schedule",
         workload=workload_fingerprint(source, category, seed),
         machine=machine_fingerprint(machine),
         deadline_frac=deadline_frac,
-        **_method_part(method),
     )
 
 
 def run_summary_key(source: str, category: str | None, seed: int,
-                    machine: Machine, deadline_frac: float,
-                    method: str = "milp") -> str:
+                    machine: Machine, deadline_frac: float) -> str:
     """Key for the simulated execution of a schedule."""
     return artifact_key(
         "run-summary",
         workload=workload_fingerprint(source, category, seed),
         machine=machine_fingerprint(machine),
         deadline_frac=deadline_frac,
-        **_method_part(method),
     )
 
 

@@ -180,9 +180,8 @@ def experiment_record(
         "status": "ok" if verify["ok"] else "verify_failed",
         "deadline_s": optimize["deadline_s"],
         "savings_bound": bound["savings_bound"],
-        # .get: journals written before the continuous engine lack these.
-        "continuous_energy_nj": bound.get("continuous_energy_nj"),
-        "continuous_savings_bound": bound.get("continuous_savings_bound"),
+        "relaxation_energy_nj": bound["relaxation_energy_nj"],
+        "relaxation_savings_bound": bound["relaxation_savings_bound"],
         "predicted_energy_nj": optimize["predicted_energy_nj"],
         "predicted_time_s": optimize["predicted_time_s"],
         "measured_energy_nj": run["cpu_energy_nj"],

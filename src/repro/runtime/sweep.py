@@ -51,8 +51,7 @@ class SweepConfig:
     cache_dir: str | None = None  # None -> caching disabled
     output_dir: str = "sweep-results"
     solver_budget_s: float | None = None  # anytime optimize budget
-    solver_backend: str = "auto"  # optimize backend (incl. "continuous")
-    continuous_prune: bool = False  # warm-start B&B from the continuous round-up
+    solver_backend: str = "auto"  # optimize backend
     resume: bool = False  # replay the journal in output_dir
     trace: bool = False  # collect + export trace.jsonl / metrics.json
     fastpath: bool = True  # bit-exact accelerated simulation (see repro.perf)
@@ -168,8 +167,7 @@ def run_sweep(
         experiments = build_grid(config)
     graph = build_task_graph(experiments,
                              solver_budget_s=config.solver_budget_s,
-                             solver_backend=config.solver_backend,
-                             continuous_prune=config.continuous_prune)
+                             solver_backend=config.solver_backend)
     # Warm-start bases/pseudocosts are per-sweep ephemeral state: reset
     # so a resumed run and a cold run see identical (empty) registries.
     # Pool workers (jobs > 1) start with fresh per-process registries.
@@ -187,9 +185,9 @@ def run_sweep(
         }),
     )
     # Replay only tasks that still exist in this grid, under the same
-    # artifact keys.
+    # artifact (or, for ``bound``, output-version) keys.
     completed = journal.load_completed(
-        {tid: task.cache_key for tid, task in graph.tasks.items()}
+        {tid: task.journal_key for tid, task in graph.tasks.items()}
     ) if config.resume else {}
     if completed:
         logger.info("resuming %d completed tasks from %s",
@@ -201,7 +199,7 @@ def run_sweep(
                 and result.output is not None
                 and result.output.get("_cacheable", True)):
             journal.record(result.task_id, result.output,
-                           graph.tasks[result.task_id].cache_key)
+                           graph.tasks[result.task_id].journal_key)
         if on_task is not None:
             on_task(result)
 
@@ -265,7 +263,6 @@ def run_sweep(
         "cache_dir": config.cache_dir,
         "solver_budget_s": config.solver_budget_s,
         "solver_backend": config.solver_backend,
-        "continuous_prune": config.continuous_prune,
         "resume": config.resume,
         "resumed_tasks": len(completed),
         "interrupted": interrupted,

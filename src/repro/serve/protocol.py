@@ -46,6 +46,7 @@ import json
 from dataclasses import dataclass
 from typing import Any
 
+from repro.core import DVSOptimizer
 from repro.errors import ProtocolError, ReproError
 from repro.runtime.dag import ExperimentSpec, MachineSpec
 from repro.workloads import get_workload
@@ -55,9 +56,6 @@ PROTOCOL_VERSION = 1
 
 #: Hard ceiling on experiments per request regardless of server config.
 ABSOLUTE_MAX_GRID = 256
-
-_BACKENDS = ("auto", "scipy", "native", "continuous")
-
 
 @dataclass(frozen=True)
 class ParsedRequest:
@@ -178,8 +176,9 @@ def _budget(value: Any) -> float | None:
 
 
 def _backend(value: Any) -> str:
-    if value not in _BACKENDS:
-        _fail(f"solver_backend must be one of {_BACKENDS}, got {value!r}")
+    if value not in DVSOptimizer.BACKENDS:
+        _fail(f"solver_backend must be one of {DVSOptimizer.BACKENDS}, "
+              f"got {value!r}")
     return value
 
 

@@ -80,16 +80,6 @@ class MilpResult:
     #: Optimal basis of the root relaxation (revised engine only) — the
     #: warm-start hand-off for the next related solve in a sweep.
     root_basis: "Basis | None" = None
-    #: Prunes attributable to an injected external incumbent (the
-    #: continuous-relaxation upper bound) before the search found any
-    #: incumbent of its own.
-    continuous_prunes: int = 0
-    #: Nodes pushed onto the open heap (root included).  ``nodes`` counts
-    #: LP solves, which an external incumbent cannot reduce in a
-    #: run-to-optimality best-first search (every child LP must be solved
-    #: to know its bound); enqueued nodes — and the final-drain pops they
-    #: imply — are the work the incumbent does save.
-    nodes_enqueued: int = 0
 
     @property
     def ok(self) -> bool:
@@ -136,7 +126,6 @@ def solve_milp(
     engine: str | None = None,
     warm_start: "Basis | None" = None,
     pseudocosts: "PseudocostStore | None" = None,
-    incumbent: "tuple[np.ndarray, float] | None" = None,
 ) -> MilpResult:
     """Solve a mixed-integer LP by branch and bound on the native simplex.
 
@@ -152,16 +141,6 @@ def solve_milp(
         pseudocosts: shared branching-history store; when given, branch
             variables are chosen by pseudocost score instead of maximum
             fractionality, and the store is updated in place.
-        incumbent: an externally constructed feasible integral point
-            ``(x0, objective)`` — here, the schedule rounded up from the
-            exact continuous-voltage optimum.  The search starts with it
-            as the incumbent, so subtrees that cannot beat it are pruned
-            immediately (counted in ``continuous_prunes`` and the
-            ``solver.bnb.continuous_prunes`` observe counter until the
-            search finds an incumbent of its own).  Soundness: a subtree
-            is pruned only when its bound is ``>= objective - gap_tol``,
-            so the returned point is always within ``gap_tol`` of the
-            true optimum — the solver's existing exactness contract.
 
     Returns:
         :class:`MilpResult`.  ``status == LIMIT`` means a limit was hit;
@@ -182,8 +161,6 @@ def solve_milp(
     total_lp_iters = 0
     nodes_explored = 0
     nodes_pruned = 0
-    continuous_prunes = 0
-    nodes_enqueued = 0
 
     def lp_budget() -> float:
         """Wall-clock left for the next LP solve (floored so a nearly
@@ -194,10 +171,6 @@ def solve_milp(
         observe.add("solver.bnb.nodes_explored", nodes_explored)
         if nodes_pruned:
             observe.add("solver.bnb.nodes_pruned", nodes_pruned)
-        if continuous_prunes:
-            observe.add("solver.bnb.continuous_prunes", continuous_prunes)
-        if nodes_enqueued:
-            observe.add("solver.bnb.nodes_enqueued", nodes_enqueued)
 
     engine_name = engine_mod.resolve(engine)
     if engine_name == "revised":
@@ -258,17 +231,6 @@ def solve_milp(
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = _INF
-    # An injected incumbent primes the pruning threshold before the
-    # search has found any integral point of its own; once the search
-    # improves on it, further prunes are ordinary ones.
-    injected = False
-    if incumbent is not None:
-        x0, obj0 = incumbent
-        x0 = np.asarray(x0, dtype=float).ravel()
-        if x0.size == n and np.isfinite(obj0):
-            incumbent_x = x0.copy()
-            incumbent_obj = float(obj0)
-            injected = True
 
     counter = itertools.count()  # heap tie-breaker
     # Heap entries: (relaxation bound, seq, bounds array, relaxation
@@ -277,15 +239,12 @@ def solve_milp(
     heap: list[tuple] = []
     heapq.heappush(heap, (root.objective, next(counter), bounds.copy(),
                           root.x, root.objective, root_basis))
-    nodes_enqueued += 1
 
     limit_hit = False
     while heap:
         bound, _, node_bounds, node_x, node_obj, node_basis = heapq.heappop(heap)
         if bound >= incumbent_obj - options.gap_tol:
             nodes_pruned += 1
-            if injected:
-                continuous_prunes += 1
             continue  # cannot improve on incumbent
         if nodes_explored >= options.node_limit or observe.clock() - start > options.time_limit:
             limit_hit = True
@@ -301,7 +260,6 @@ def solve_milp(
             if node_obj < incumbent_obj - options.gap_tol:
                 incumbent_obj = node_obj
                 incumbent_x = node_x.copy()
-                injected = False
                 observe.add("solver.bnb.incumbents")
                 # Best-first pop order makes this node's bound the global
                 # lower bound, so the event carries the gap over time.
@@ -338,15 +296,12 @@ def solve_milp(
                     frac_down if is_down else 1.0 - frac_down)
             if child.objective >= incumbent_obj - options.gap_tol:
                 nodes_pruned += 1
-                if injected:
-                    continuous_prunes += 1
                 continue
             frac = pick_branch(child.x)
             if frac is None:
                 if child.objective < incumbent_obj - options.gap_tol:
                     incumbent_obj = child.objective
                     incumbent_x = child.x.copy()
-                    injected = False
                     observe.add("solver.bnb.incumbents")
                     observe.event("bnb.incumbent", objective=incumbent_obj,
                                   lower_bound=bound, nodes=nodes_explored)
@@ -356,7 +311,6 @@ def solve_milp(
                     (child.objective, next(counter), child_bounds, child.x,
                      child.objective, child_basis),
                 )
-                nodes_enqueued += 1
 
     flush_counters()
     if incumbent_x is None:
@@ -365,8 +319,6 @@ def solve_milp(
         return MilpResult(
             status, nodes=nodes_explored, iterations=total_lp_iters,
             best_bound=bound, root_basis=root_basis,
-            continuous_prunes=continuous_prunes,
-            nodes_enqueued=nodes_enqueued,
         )
 
     # Snap near-integer values exactly to integers for downstream
@@ -384,6 +336,4 @@ def solve_milp(
         nodes=nodes_explored,
         best_bound=best_bound,
         root_basis=root_basis,
-        continuous_prunes=continuous_prunes,
-        nodes_enqueued=nodes_enqueued,
     )

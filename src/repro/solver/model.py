@@ -341,12 +341,6 @@ class Model:
         if backend not in ("auto", "scipy", "native"):
             raise ModelError(f"unknown backend {backend!r}")
         engine.check_fault_budget()
-        # An externally constructed integral incumbent (x0, objective) —
-        # the continuous-bound round-up.  Only the native branch-and-bound
-        # can consume it; scipy solves from scratch, so it is popped here
-        # rather than forwarded.  An execution hint: it never changes the
-        # optimum, only how fast the search proves it.
-        incumbent = options.pop("incumbent", None)
         with observe.span("solver.solve", backend=backend, relax=relax,
                           variables=len(self.variables),
                           constraints=len(self.constraints)) as sp:
@@ -362,15 +356,13 @@ class Model:
                 except ImportError:
                     if backend == "scipy":
                         raise
-            solution = self._solve_native(relax=relax, incumbent=incumbent,
-                                          **options)
+            solution = self._solve_native(relax=relax, **options)
             solution.wall_time = sp.elapsed_s
             sp.set(status=solution.status.name, used="native")
             _record_solve_metrics(solution)
         return solution
 
-    def _solve_native(self, relax: bool = False, incumbent=None,
-                      **options) -> Solution:
+    def _solve_native(self, relax: bool = False, **options) -> Solution:
         from repro.solver import engine as engine_mod
         from repro.solver.branch_bound import BranchBoundOptions, solve_milp
         from repro.solver.simplex import solve_lp
@@ -383,12 +375,6 @@ class Model:
         warm_key = options.pop("warm_key", None)
         if relax:
             integrality = np.zeros_like(integrality)
-            incumbent = None  # an integral point does not bound the LP search
-        if incumbent is not None:
-            # The caller's objective includes the model's constant offset;
-            # branch and bound works in the raw c·x space.
-            x0, obj0 = incumbent
-            incumbent = (x0, float(obj0) - c0)
         if integrality.any():
             warm_basis = None
             pseudocosts = None
@@ -402,8 +388,7 @@ class Model:
             bb_options = BranchBoundOptions(**options)
             result = solve_milp(c, a_ub, b_ub, a_eq, b_eq, bounds, integrality,
                                 options=bb_options, engine=solver_engine,
-                                warm_start=warm_basis, pseudocosts=pseudocosts,
-                                incumbent=incumbent)
+                                warm_start=warm_basis, pseudocosts=pseudocosts)
             if warm_key is not None and result.root_basis is not None and result.ok:
                 warmstart.registry().put_basis(warm_key, result.root_basis)
             return Solution(

@@ -247,7 +247,7 @@ def verify_program(
                 ),
                 oracles.schedule_replay_matches_objective(optimizer, cfg, outcome),
                 oracles.never_worse_than_single_mode(optimizer, outcome),
-                oracles.continuous_dominance(optimizer, outcome),
+                oracles.relaxation_dominance(outcome),
                 oracles.analytical_bound_dominates(
                     profile.params,
                     deadline,
@@ -495,134 +495,6 @@ def fuzz_lps(
         report.runs += 1
         report.checks += 1
         report.failures.extend(problems)
-        if on_progress is not None:
-            on_progress(index + 1, runs, len(report.failures))
-    report.elapsed_s = observe.clock() - start
-    return report
-
-
-@dataclass
-class ContinuousFuzzReport:
-    """Outcome of a continuous-engine fuzzing campaign."""
-
-    runs: int
-    checks: int
-    failures: list[str] = field(default_factory=list)
-    elapsed_s: float = 0.0
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    @property
-    def summary(self) -> str:
-        verdict = ("all continuous checks passed" if self.ok
-                   else f"{len(self.failures)} VIOLATIONS")
-        return (f"continuous-fuzz: {self.runs} programs, {self.checks} "
-                f"checks, {verdict} in {self.elapsed_s:.1f}s")
-
-
-def fuzz_continuous(
-    runs: int,
-    seed: int = 0,
-    machine: Machine | None = None,
-    deadline_fracs: tuple[float, ...] = (0.2, 0.6),
-    on_progress=None,
-) -> ContinuousFuzzReport:
-    """Fuzz the continuous engine against the MILP on random programs.
-
-    For each seeded program and deadline the campaign checks:
-
-    * the dominance chain ``continuous lower bound <= MILP optimum <=
-      round-up`` (:func:`repro.verify.oracles.continuous_dominance`);
-    * the YDS structure of the continuous optimum — phase speeds are
-      nonincreasing and the per-job speed assignment passes the Hall
-      feasibility test;
-    * injection invariance — the native branch-and-bound returns a
-      bit-identical schedule and objective with the continuous warm
-      incumbent on and off (the pruner may only skip work, never change
-      the answer).
-
-    Program ``i`` uses seed ``seed + i``, so any failure reproduces from
-    its own seed alone.
-    """
-    import numpy as np
-
-    from repro.core.continuous import (
-        continuous_bound,
-        is_feasible_speed_assignment,
-        jobs_from_profile,
-        optimal_speeds,
-    )
-    from repro.errors import ScheduleError
-
-    machine = machine or _default_machine()
-    start = observe.clock()
-    report = ContinuousFuzzReport(runs=0, checks=0)
-    for index in range(runs):
-        program_seed = seed + index
-        tag = f"run {index} (seed {program_seed})"
-        program = generate_program(program_seed)
-        try:
-            cfg = compile_program(program.source, "continuous-fuzz")
-            optimizer = DVSOptimizer(machine, backend="native")
-            profile = optimizer.profile(cfg, inputs=program.inputs)
-        except ReproError as error:
-            report.failures.append(f"{tag}: pipeline crash: {error}")
-            report.runs += 1
-            continue
-        modes = sorted(profile.wall_time_s)
-        t_fast = profile.wall_time_s[modes[-1]]
-        t_slow = profile.wall_time_s[modes[0]]
-        for frac in deadline_fracs:
-            deadline = t_fast + frac * (t_slow - t_fast)
-            try:
-                # -- YDS structural invariants --------------------------------
-                jobs, _, _ = jobs_from_profile(
-                    profile, machine.mode_table, deadline
-                )
-                sol = optimal_speeds(jobs)
-                report.checks += 1
-                speeds = [phase.speed_hz for phase in sol.phases]
-                if any(a < b - 1e-6 * max(1.0, abs(b))
-                       for a, b in zip(speeds, speeds[1:])):
-                    report.failures.append(
-                        f"{tag} frac={frac}: phase speeds increase: {speeds}")
-                report.checks += 1
-                if sol.speeds and not is_feasible_speed_assignment(jobs, sol.speeds):
-                    report.failures.append(
-                        f"{tag} frac={frac}: optimal speeds fail Hall test")
-
-                # -- dominance + injection invariance -------------------------
-                cold = DVSOptimizer(machine, backend="native")
-                outcome = cold.optimize(cfg, deadline, profile=profile)
-                oracle = oracles.continuous_dominance(cold, outcome)
-                report.checks += 1
-                if not oracle.ok:
-                    report.failures.append(f"{tag} frac={frac}: {oracle.detail}")
-                warm = DVSOptimizer(
-                    machine, backend="native",
-                    solver_options={"continuous_prune": True},
-                )
-                pruned = warm.optimize(cfg, deadline, profile=profile)
-                report.checks += 1
-                same = (pruned.schedule.assignment == outcome.schedule.assignment
-                        and np.isclose(pruned.predicted_energy_nj,
-                                       outcome.predicted_energy_nj,
-                                       rtol=0, atol=0))
-                if not same:
-                    report.failures.append(
-                        f"{tag} frac={frac}: pruner changed the answer: "
-                        f"{outcome.predicted_energy_nj!r} -> "
-                        f"{pruned.predicted_energy_nj!r}")
-            except ScheduleError:
-                # Infeasible or degenerate deadline for this program; the
-                # engine refusing is correct behaviour, not a violation.
-                report.checks += 1
-            except ReproError as error:
-                report.failures.append(
-                    f"{tag} frac={frac}: pipeline crash: {error}")
-        report.runs += 1
         if on_progress is not None:
             on_progress(index + 1, runs, len(report.failures))
     report.elapsed_s = observe.clock() - start

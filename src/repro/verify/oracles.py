@@ -16,9 +16,9 @@ fuzz driver can collect and report the first failure with full context.
 * :func:`analytical_bound_dominates` — the Section 3 analytical model is
   an upper bound: no MILP result may save more energy than it predicts
   (beyond the paper's own rounding allowance);
-* :func:`continuous_dominance` — the exact continuous-voltage optimum
-  (:mod:`repro.core.continuous`) sandwiches the discrete one:
-  ``continuous lower bound <= MILP optimum <= continuous round-up``;
+* :func:`relaxation_dominance` — the closed-form LP-relaxation bound
+  (:mod:`repro.core.relaxation`, computed without a solver) never
+  exceeds the MILP optimum;
 * :func:`never_worse_than_single_mode` — the MILP must never lose to the
   best single mode meeting the deadline (that mode is a feasible MILP
   point);
@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from repro.core.analytical import savings_ratio_discrete
 from repro.core.analytical.params import ProgramParams
 from repro.core.milp.formulation import MilpFormulation
+from repro.core.relaxation import relaxation_bound
 from repro.core.scheduler import DVSOptimizer, OptimizationOutcome
 from repro.errors import ScheduleError
 from repro.ir.cfg import CFG
@@ -238,67 +239,33 @@ def analytical_bound_dominates(
     return _passed(name, f"bound {bound:.1%} >= MILP {milp_savings:.1%} - slack")
 
 
-def continuous_dominance(
-    optimizer: DVSOptimizer,
+def relaxation_dominance(
     outcome: OptimizationOutcome,
-    rel_tol: float = tolerances.CONTINUOUS_DOMINANCE_REL_TOL,
+    rel_tol: float = tolerances.RELAXATION_DOMINANCE_REL_TOL,
 ) -> OracleResult:
-    """The continuous relaxation sandwiches the discrete optimum.
+    """The relaxation bound never exceeds the discrete optimum.
 
-    Checks the energy chain ``continuous lower bound <= MILP optimum <=
-    continuous round-up`` on the outcome's own profile and deadline.
-    The left inequality holds because any discrete schedule induces a
-    feasible point of the continuous problem with no greater energy (see
-    :mod:`repro.core.continuous`); the right because the round-up is a
-    feasible point of the exact discrete model.  A violation on either
-    side means the engine, the job mapping, or the MILP is wrong.
+    :func:`~repro.core.relaxation.relaxation_bound` drops integrality and
+    transition costs from the MILP the outcome solved, so any feasible
+    schedule — in particular the optimum, or a degraded incumbent —
+    costs at least that much.  The bound is computed by a hull knapsack,
+    not by a solver, so a violation means the formulation, the solver or
+    the bound is wrong.  (Its upper partner, the best single mode, is
+    :func:`never_worse_than_single_mode`.)
     """
-    from repro.core.continuous import continuous_bound, round_up_schedule
-
-    name = "continuous-dominance"
-    profile = outcome.profile
-    deadline = outcome.formulation.deadline_s
-    mode_table = optimizer.machine.mode_table
+    name = "relaxation-dominance"
     try:
-        bound = continuous_bound(profile, mode_table, deadline)
+        bound = relaxation_bound(outcome.profile, outcome.formulation.deadline_s)
     except ScheduleError as error:
-        return _passed(name, f"continuous bound unavailable ({error}); skipped")
-    milp_energy = outcome.predicted_energy_nj
-    slack = rel_tol * max(1.0, abs(milp_energy))
-    if bound.energy_nj > milp_energy + slack:
+        return _passed(name, f"relaxation infeasible ({error}); skipped")
+    energy = outcome.predicted_energy_nj
+    if bound > energy + rel_tol * max(1.0, abs(energy)):
         return _failed(
             name,
-            f"continuous lower bound {bound.energy_nj:.9g} nJ exceeds the "
-            f"discrete optimum {milp_energy:.9g} nJ",
+            f"relaxation lower bound {bound:.9g} nJ exceeds the MILP "
+            f"energy {energy:.9g} nJ",
         )
-    if not outcome.solution.ok:
-        # A degraded incumbent is feasible but not proven optimal, so the
-        # round-up may legitimately beat it; only the lower bound applies.
-        return _passed(
-            name,
-            f"lower bound {bound.energy_nj:.6g} <= incumbent "
-            f"{milp_energy:.6g} nJ (upper side skipped: unproven incumbent)",
-        )
-    rounded = round_up_schedule(
-        profile, mode_table, deadline, bound.speeds,
-        optimizer.machine.transition_model, outcome.filter_result,
-    )
-    if rounded is None:
-        return _failed(
-            name,
-            "round-up found no feasible schedule although the MILP did",
-        )
-    if rounded.energy_nj + slack < milp_energy:
-        return _failed(
-            name,
-            f"round-up energy {rounded.energy_nj:.9g} nJ undercuts the "
-            f"proven optimum {milp_energy:.9g} nJ",
-        )
-    return _passed(
-        name,
-        f"{bound.energy_nj:.6g} <= {milp_energy:.6g} <= "
-        f"{rounded.energy_nj:.6g} nJ",
-    )
+    return _passed(name, f"relaxation {bound:.6g} <= MILP {energy:.6g} nJ")
 
 
 def never_worse_than_single_mode(

@@ -48,12 +48,12 @@ DEADLINE_REL_SLACK = 1e-4
 #: MILP result before the dominance oracle fails (paper Section 6.5).
 BOUND_DOMINANCE_SLACK = 0.02
 
-#: Relative slack for the continuous-relaxation dominance chain
-#: ``continuous lower bound <= MILP optimum <= round-up energy``.  All
-#: three are evaluated on the same profiled per-visit numbers, so the
-#: chain is exact up to float summation order; 1e-6 is orders of
-#: magnitude above the observed residue.
-CONTINUOUS_DOMINANCE_REL_TOL = 1e-6
+#: Relative slack for ``relaxation lower bound <= MILP optimum``.  Both
+#: are evaluated on the same profiled per-visit numbers, so the
+#: inequality is exact up to float summation order and the solver's
+#: deadline-row tolerance; 1e-6 is orders of magnitude above the
+#: observed residue.
+RELAXATION_DOMINANCE_REL_TOL = 1e-6
 
 #: Extra relative margin on the Section 5.2 filtering threshold when
 #: comparing filtered and unfiltered optimal energies.

@@ -3,8 +3,10 @@ contract of ``DVSOptimizer.optimize(budget_s=...)``."""
 
 import pytest
 
+from repro import observe
+from repro.core.relaxation import relaxation_bound
 from repro.errors import ScheduleError
-from repro.resilience.anytime import TIER_CONTINUOUS, TIER_GREEDY
+from repro.resilience.anytime import TIER_GREEDY
 from repro.solver.solution import SolveStatus
 
 
@@ -40,39 +42,33 @@ class TestGenerousBudget:
 
 
 class TestStarvedBudget:
-    def test_falls_back_to_continuous_but_stays_feasible(self, optimizer,
-                                                         small_cfg,
-                                                         small_profile):
+    def test_falls_back_to_greedy_but_stays_feasible(self, optimizer,
+                                                     small_cfg,
+                                                     small_profile):
         deadline = small_profile.deadline_at(0.5)
         # Below MIN_TIER_BUDGET_S: every MILP tier is skipped up front.
-        # The continuous tier needs no search, so it absorbs the starved
-        # budget before the greedy heuristic ever runs.
-        outcome = optimizer.optimize(small_cfg, deadline,
-                                     profile=small_profile, budget_s=1e-4)
-        assert outcome.fallback_tier == TIER_CONTINUOUS
+        was_enabled = observe.enabled()
+        observe.enable(reset=True)
+        try:
+            outcome = optimizer.optimize(small_cfg, deadline,
+                                         profile=small_profile, budget_s=1e-4)
+            solves = observe.counter_value("solver.solves")
+        finally:
+            observe.snapshot(reset=True)
+            if not was_enabled:
+                observe.disable()
+        assert outcome.fallback_tier == TIER_GREEDY
         assert outcome.degraded
         assert outcome.solution.status is SolveStatus.FEASIBLE
+        # The gap is priced by the closed-form relaxation: no LP solve.
+        assert solves == 0
+        assert outcome.optimality_gap is not None
+        assert outcome.solution.best_bound == pytest.approx(
+            relaxation_bound(small_profile, deadline), rel=1e-12)
         # The fallback is still independently replay-checked ...
         assert outcome.schedule_check is not None
         assert outcome.schedule_check.ok
         # ... and meets the deadline it was asked for.
-        assert outcome.predicted_time_s <= deadline * (1 + 1e-9)
-
-    def test_greedy_still_reachable_when_continuous_rejects(
-            self, optimizer, small_cfg, small_profile, monkeypatch):
-        from repro.core import continuous
-
-        def refuse(*args, **kwargs):
-            raise ScheduleError("forced reject for the greedy-tier test")
-
-        monkeypatch.setattr(continuous, "continuous_bound", refuse)
-        deadline = small_profile.deadline_at(0.5)
-        outcome = optimizer.optimize(small_cfg, deadline,
-                                     profile=small_profile, budget_s=1e-4)
-        assert outcome.fallback_tier == TIER_GREEDY
-        assert outcome.degraded
-        assert outcome.schedule_check is not None
-        assert outcome.schedule_check.ok
         assert outcome.predicted_time_s <= deadline * (1 + 1e-9)
 
     def test_skipped_tiers_explain_themselves(self, optimizer, small_cfg,

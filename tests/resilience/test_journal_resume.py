@@ -234,6 +234,41 @@ class TestReplayIdentity:
         assert results["bound"].ok
         assert resumed.results_path.read_bytes() == reference
 
+    def test_older_bound_entry_is_recomputed(self, tmp_path):
+        """A journal written when ``bound`` emitted the continuous-engine
+        fields: resuming recomputes ``bound`` (it has no artifact key to
+        catch the change) and emits the relaxation fields exactly as an
+        uninterrupted run does."""
+        config = {"workloads": ("adpcm",), "deadline_fracs": (0.5,),
+                  "cache_dir": None}
+        out = tmp_path / "out"
+        first = run_sweep(SweepConfig(**config, output_dir=str(out)))
+        assert first.ok
+        reference = first.results_path.read_bytes()
+        record = json.loads(reference.decode().splitlines()[0])
+        assert record["relaxation_energy_nj"] is not None
+        assert record["relaxation_savings_bound"] is not None
+
+        header, records = _read_journal(out / "journal.jsonl")
+        old_records = []
+        for entry in records:
+            if _kind(entry) == "bound":
+                output = {"deadline_s": entry["output"]["deadline_s"],
+                          "savings_bound": entry["output"]["savings_bound"],
+                          "continuous_energy_nj": 1.0,
+                          "continuous_savings_bound": 0.99}
+                entry = {"type": "task", "task": entry["task"], "key": None,
+                         "digest": payload_digest(output), "output": output}
+            old_records.append(entry)
+        _write_journal(out / "journal.jsonl", header, old_records)
+        resumed = run_sweep(SweepConfig(**config, output_dir=str(out),
+                                        resume=True))
+        assert resumed.ok
+        caches = {r.kind: r.cache for r in resumed.results.values()}
+        assert caches.pop("bound") == "off"
+        assert set(caches.values()) == {"journal"}
+        assert resumed.results_path.read_bytes() == reference
+
 
 def _sweep_cmd(out, cache, *extra):
     return [

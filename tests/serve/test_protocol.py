@@ -82,6 +82,9 @@ class TestValidation:
     def test_rejects_bad_backend(self):
         self.rejects({"workloads": ["adpcm"], "solver_backend": "cplex"},
                      "solver_backend")
+        # The retired continuous backend: the message names what is allowed.
+        self.rejects({"workloads": ["adpcm"], "solver_backend": "continuous"},
+                     r"one of \('auto', 'scipy', 'native'\)")
 
     def test_rejects_bad_category(self):
         self.rejects({"workloads": ["adpcm"], "category": "imaginary"},

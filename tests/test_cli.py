@@ -268,15 +268,26 @@ class TestInputValidation:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--workloads", "adpcm"], ["serve"], ["taskgraph", "verify"],
+    ])
+    def test_unknown_solver_backend_is_a_usage_error(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command, "--solver-backend", "continuous"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'continuous'" in err
+        assert "'auto', 'scipy', 'native'" in err
+        assert "Traceback" not in err
+
+
 class TestAnytimeOptimizeCommand:
     def test_starved_budget_degrades_with_exit_3(self, capsys):
         rc = main(["optimize", "ghostscript", "--deadline-frac", "0.9",
                    "--solver-budget", "0.0001"])
         assert rc == 3
         out = capsys.readouterr().out
-        # The continuous tier needs no search, so it absorbs starved
-        # budgets before greedy runs (docs/continuous.md).
-        assert "solver tier continuous" in out
+        assert "solver tier greedy" in out
         assert "[degraded]" in out
 
     def test_generous_budget_stays_exit_0(self, capsys):
