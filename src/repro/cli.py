@@ -22,9 +22,7 @@
     python -m repro stats sweep-results
     python -m repro trace summarize sweep-results
     python -m repro cache verify
-    python -m repro chaos --workloads adpcm --corrupt 2
-    python -m repro chaos --serve
-    python -m repro chaos --campaign --seeds 3
+    python -m repro chaos --seeds 3 --workloads adpcm
     python -m repro serve --port 8787 --jobs 4
     python -m repro serve --port 8787 --store-dir jobs --resume
     python -m repro loadtest --requests 500 --concurrency 64
@@ -43,12 +41,10 @@ tiers, quarantined cache entries), 130 interrupted after a clean drain.
 The new verbs keep the same ladder: ``serve`` drains gracefully and
 exits 0 on SIGTERM / 130 on SIGINT; ``loadtest`` exits 1 when any
 request errored after client retries or a spawned server failed to
-drain cleanly; ``chaos --serve`` exits 3 when the kill was absorbed and
-1 on any violated invariant; ``chaos --campaign`` exits 3 when its
-seeded fault matrix injected faults that were all absorbed (the
-expected outcome), 1 on any invariant violation, and 0 only if nothing
-fired (a suspiciously quiet campaign).  Every error is one line on
-stderr, never a traceback.
+drain cleanly; ``chaos`` exits 3 when its seeded fault plans injected
+faults that were all absorbed (the expected outcome), 1 on any
+invariant violation, and 0 only if nothing fired (a suspiciously quiet
+campaign).  Every error is one line on stderr, never a traceback.
 
 ``--deadline-frac f`` places the deadline a fraction ``f`` of the way
 from the all-fast to the all-slow runtime (0 = flat out, 1 = everything
@@ -438,7 +434,6 @@ def _parse_levels(text: str) -> tuple[int | None, ...]:
 
 
 def cmd_sweep(args) -> int:
-    from repro.runtime.executor import FaultSpec
     from repro.runtime.sweep import SweepConfig, run_sweep
 
     workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
@@ -460,7 +455,6 @@ def cmd_sweep(args) -> int:
         jobs=args.jobs,
         task_timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
-        fault=FaultSpec.parse(args.inject_fault) if args.inject_fault else None,
         cache_dir=cache_dir,
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
@@ -557,7 +551,6 @@ def _cmd_taskgraph_verify(args) -> int:
 
 
 def _cmd_taskgraph_sweep(args) -> int:
-    from repro.runtime.executor import FaultSpec
     from repro.runtime.sweep import SweepConfig, run_sweep
     from repro.taskgraph.pipeline import build_tg_grid
 
@@ -581,7 +574,6 @@ def _cmd_taskgraph_sweep(args) -> int:
         jobs=args.jobs,
         task_timeout_s=args.timeout if args.timeout > 0 else None,
         retries=args.retries,
-        fault=FaultSpec.parse(args.inject_fault) if args.inject_fault else None,
         cache_dir=cache_dir,
         output_dir=args.output_dir,
         solver_budget_s=args.solver_budget,
@@ -700,65 +692,6 @@ def cmd_cache(args) -> int:
 
 
 def cmd_chaos(args) -> int:
-    if args.campaign:
-        return _cmd_chaos_campaign(args)
-    if args.serve:
-        return _cmd_chaos_serve(args)
-    from repro.resilience.chaos import run_chaos
-
-    workloads = tuple(w.strip() for w in args.workloads.split(",") if w.strip())
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
-
-    def progress(result) -> None:
-        if args.quiet:
-            return
-        mark = {"ok": " ", "failed": "!", "skipped": "-"}[result.status]
-        print(f"  {mark} {result.task_id} [{result.cache}]", flush=True)
-
-    report = run_chaos(
-        workloads=workloads,
-        deadline_fracs=fracs,
-        seed=args.seed,
-        output_dir=args.output_dir,
-        jobs=args.jobs,
-        solver_budget_s=args.solver_budget,
-        corrupt=args.corrupt,
-        fault_pattern=args.inject_fault or None,
-        chaos_seed=args.chaos_seed,
-        on_task=progress,
-    )
-    print(report.summary)
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}", file=sys.stderr)
-    return report.exit_code
-
-
-def _cmd_chaos_serve(args) -> int:
-    from repro.serve.chaos import run_serve_chaos
-
-    workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    fracs = [float(f) for f in args.deadline_fracs.split(",")]
-
-    def progress(message: str) -> None:
-        if not args.quiet:
-            print(f"  {message}", flush=True)
-
-    report = run_serve_chaos(
-        workload=workloads[0],
-        deadline_frac=fracs[0],
-        seed=args.seed,
-        jobs=args.jobs,
-        on_progress=progress,
-    )
-    print(report.summary)
-    for violation in report.violations:
-        print(f"  VIOLATION: {violation}", file=sys.stderr)
-    return report.exit_code
-
-
-def _cmd_chaos_campaign(args) -> int:
-    import os as _os
-
     from repro.resilience.campaign import (
         CampaignConfig,
         run_campaign,
@@ -766,7 +699,8 @@ def _cmd_chaos_campaign(args) -> int:
     )
 
     workloads = [w.strip() for w in args.workloads.split(",") if w.strip()]
-    fracs = tuple(float(f) for f in args.deadline_fracs.split(","))
+    fracs = (CampaignConfig.traffic_fracs if args.deadline_fracs is None
+             else tuple(float(f) for f in args.deadline_fracs.split(",")))
 
     def progress(message: str) -> None:
         if not args.quiet:
@@ -775,12 +709,11 @@ def _cmd_chaos_campaign(args) -> int:
     config = CampaignConfig(
         seeds=args.seeds,
         workload=workloads[0],
-        traffic_fracs=fracs if len(fracs) >= 2 else (fracs[0], 0.5),
+        traffic_fracs=tuple(dict.fromkeys(fracs)),
         output_dir=args.output_dir,
     )
     report = run_campaign(config, on_progress=progress)
-    path = write_report(report,
-                        _os.path.join(args.output_dir, "campaign.json"))
+    path = write_report(report, os.path.join(args.output_dir, "campaign.json"))
     print(report.summary)
     for violation in report.violations:
         print(f"  VIOLATION: {violation}", file=sys.stderr)
@@ -789,7 +722,6 @@ def _cmd_chaos_campaign(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.runtime.executor import FaultSpec
     from repro.serve.server import ServeConfig, run_server
 
     weights = {}
@@ -816,8 +748,6 @@ def cmd_serve(args) -> int:
         retries=args.retries,
         solver_backend=args.solver_backend,
         tenant_weights=weights,
-        fault=(FaultSpec.parse(args.inject_fault)
-               if args.inject_fault else None),
         store_dir=args.store_dir,
         resume=args.resume,
     )
@@ -1099,9 +1029,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-fastpath", action="store_true",
                          help="simulate on the reference interpreter only "
                               "(results.jsonl is byte-identical either way)")
-    p_sweep.add_argument("--inject-fault", default=None, metavar="PATTERN[@N]",
-                         help="kill task ids matching a glob (testing); "
-                              "@N fails only the first N attempts")
     p_sweep.add_argument("--cache-dir", default=None,
                          help="artifact-store directory (default: "
                               "$REPRO_CACHE_DIR or .repro-cache)")
@@ -1168,9 +1095,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(default 600; 0 disables)")
     p_tg_sweep.add_argument("--retries", type=int, default=1,
                             help="retry budget per task (default 1)")
-    p_tg_sweep.add_argument("--inject-fault", default=None,
-                            metavar="PATTERN[@N]",
-                            help="kill task ids matching a glob (testing)")
     p_tg_sweep.add_argument("--cache-dir", default=None,
                             help="artifact-store directory (default: "
                                  "$REPRO_CACHE_DIR or .repro-cache)")
@@ -1293,48 +1217,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chaos = sub.add_parser(
         "chaos",
-        help="inject faults (corrupt cache, killed workers, starved "
-             "solver) and assert the resilience invariants",
+        help="seeded chaos campaign: per seed, a faulted sweep, a worker "
+             "kill on a live server and a SIGKILL -> --resume cycle, "
+             "audited against fault-free references",
     )
-    p_chaos.add_argument("--workloads", default="adpcm",
-                         help="comma-joined workload names (default adpcm)")
-    p_chaos.add_argument("--deadline-fracs", default="0.5",
-                         help="comma-joined deadline fractions (default 0.5)")
-    p_chaos.add_argument("--seed", type=int, default=0, help="input seed")
-    p_chaos.add_argument("--jobs", type=int, default=2,
-                         help="worker processes (default 2)")
-    p_chaos.add_argument("--solver-budget", type=float, default=0.05,
-                         metavar="SECONDS",
-                         help="starvation-level anytime budget for the "
-                              "chaos sweep (default 0.05)")
-    p_chaos.add_argument("--corrupt", type=int, default=2,
-                         help="cache entries to corrupt between the "
-                              "baseline and chaos sweeps (default 2)")
-    p_chaos.add_argument("--inject-fault", default="simulate:*@1",
-                         metavar="PATTERN[@N]",
-                         help="executor fault spec for the chaos sweep "
-                              "(default simulate:*@1; empty disables)")
-    p_chaos.add_argument("--chaos-seed", type=int, default=0,
-                         help="seed for the corruption RNG (default 0)")
-    p_chaos.add_argument("--output-dir", default="chaos-results",
-                         help="holds baseline/, chaos/ and cache/ "
-                              "(default chaos-results)")
-    p_chaos.add_argument("--quiet", action="store_true",
-                         help="suppress per-task progress lines")
-    p_chaos.add_argument("--serve", action="store_true",
-                         help="serve-mode chaos: boot an in-process "
-                              "server, SIGKILL its warm workers "
-                              "mid-request and audit the invariants "
-                              "(uses the first workload/deadline only)")
-    p_chaos.add_argument("--campaign", action="store_true",
-                         help="seeded fault-matrix campaign: spawn real "
-                              "servers under exported fault plans, drive "
-                              "traffic through the resilient client, "
-                              "SIGKILL and --resume them, and write a "
-                              "machine-readable campaign.json "
-                              "(uses the first workload only)")
     p_chaos.add_argument("--seeds", type=int, default=3,
-                         help="fault-plan seeds for --campaign (default 3)")
+                         help="fault-plan seeds (default 3)")
+    p_chaos.add_argument("--workloads", default="adpcm",
+                         help="workload under test; only the first of a "
+                              "comma-joined list is used (default adpcm)")
+    p_chaos.add_argument("--deadline-fracs", default=None,
+                         help="comma-joined traffic deadline fractions "
+                              "(default 0.35,0.5)")
+    p_chaos.add_argument("--output-dir", default="chaos-campaign",
+                         help="per-seed stores, job journals and "
+                              "campaign.json (default chaos-campaign)")
+    p_chaos.add_argument("--quiet", action="store_true",
+                         help="suppress progress lines")
     p_chaos.set_defaults(fn=cmd_chaos)
 
     p_serve = sub.add_parser(
@@ -1374,9 +1273,6 @@ def build_parser() -> argparse.ArgumentParser:
                          metavar="NAME=WEIGHT",
                          help="fair-queueing weight override "
                               "(repeatable; default weight 1)")
-    p_serve.add_argument("--inject-fault", default=None,
-                         metavar="PATTERN[@N]",
-                         help="kill matching executor tasks (testing)")
     p_serve.add_argument("--store-dir", default=None,
                          help="job-store directory; admissions and "
                               "completions are journaled there "

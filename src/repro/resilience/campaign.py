@@ -1,25 +1,36 @@
-"""``repro chaos --campaign`` — a seeded fault-matrix sweep.
+"""``repro chaos`` — the seeded chaos campaign.
 
-For each seed the campaign builds a :class:`~repro.resilience.faultplane.
-FaultPlan` over (almost) the whole fault-point catalog, exports it to a
-real ``repro serve`` subprocess, and drives traffic through the
-resilient client while the plan drops connections, crashes workers,
-corrupts cache entries and starves the solver.  Then it SIGKILLs the
-server with finished + running + queued jobs on the books and restarts
-it with ``--resume``.  The invariants checked per seed:
+Every injected fault comes from one :class:`~repro.resilience.faultplane.
+FaultPlan` per seed, and each seed runs three legs under its plan:
 
-* every request eventually succeeds (the client's backoff absorbs the
-  injected drops and rejections);
-* **no unverified schedule escapes**: every served row has status
-  ``ok``, and non-degraded rows are byte-identical to a fault-free
-  reference computed in-process;
-* **no job is lost across kill→resume**: every job admitted before the
-  SIGKILL reaches a terminal state after ``--resume``, finished jobs
-  are *replayed* byte-identically (not recomputed), and the resumed
-  server drains cleanly;
-* **torn journal writes never corrupt recovery**: a dedicated in-process
-  check fires ``journal.torn`` against a scratch job store and asserts
-  that every record before the tear survives loading.
+1. **sweep leg** — a fault-free baseline :func:`~repro.runtime.sweep.
+   run_sweep` fills an artifact store; the same grid then re-runs over
+   that store on a 2-worker pool with a starved solver budget, under a
+   plan over ``cache.read.corrupt``, ``worker.crash``, ``solver.limit``
+   and ``io.slow`` exported to the workers.  The faulted sweep must
+   complete, leak no ``failed``/``verify_failed`` row, keep every
+   non-degraded row byte-identical to the baseline, quarantine at least
+   as many entries as ``cache.read.corrupt`` fired, and leave a store
+   that audits clean.
+2. **worker-kill leg** — on a spawned ``repro serve`` under the seed's
+   plan, after fault-laden traffic, the workers listed by ``/healthz``
+   are SIGKILLed while a fresh victim job is ``running``.  The victim
+   must end ``done`` with only ``ok`` rows or ``failed`` with a
+   structured error, the crash must be observed (a pool respawn or an
+   ``executor.worker_crashes`` count), ``/healthz`` must still answer,
+   and a probe at another fresh deadline must serve rows byte-identical
+   to the fault-free reference.
+3. **kill→resume leg** — the server is SIGKILLed with finished, running
+   and queued jobs on the books and restarted with ``--resume``: no job
+   is lost, finished jobs replay byte-identically (not recomputed), and
+   the resumed server drains cleanly.  An in-process check then tears a
+   journal append (``journal.torn``) on a scratch job store and asserts
+   that every record before the tear survives loading.
+
+Every served request must eventually succeed (the resilient client's
+backoff absorbs dropped connections and rejections), and no unverified
+schedule may escape: served rows all have status ``ok``, and
+non-degraded rows are byte-identical to :func:`reference_rows`.
 
 ``journal.torn`` is deliberately excluded from the *server* plans: an
 injected torn admit record simulates a disk that lost the fsync'd write,
@@ -44,12 +55,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable
 
+from repro import observe
 from repro.errors import ServeError
 from repro.resilience import EXIT_DEGRADED, EXIT_FAILURE, EXIT_OK, faultplane
 from repro.resilience.faultplane import CATALOG, FaultPlan
 from repro.runtime import manifest as manifest_mod
+from repro.runtime.cache import ArtifactStore, verify_store
 from repro.runtime.dag import build_task_graph
 from repro.runtime.executor import ExecutorConfig, run_graph
+from repro.runtime.sweep import SweepConfig, run_sweep
 from repro.serve import protocol
 from repro.serve.client import ReproClient, RetryPolicy
 from repro.serve.jobstore import JobStore
@@ -59,6 +73,17 @@ CAMPAIGN_FORMAT = 1
 
 #: The listening line ``repro serve`` prints.
 _LISTEN_PREFIX = "repro serve listening on http://"
+
+#: The fault points a sweep reaches in-process (the serve.* points need a
+#: server, and journal.torn has its own check).
+SWEEP_POINTS = ("cache.read.corrupt", "io.slow", "solver.limit",
+                "worker.crash")
+#: Pool workers of both sweep-leg runs.
+SWEEP_JOBS = 2
+#: The faulted sweep's starvation-level anytime budget per ``optimize``.
+SWEEP_SOLVER_BUDGET_S = 0.05
+#: Fresh deadline points of the worker-kill leg: the victim, the probe.
+CRASH_FRACS = (0.42, 0.58)
 
 
 @dataclass(frozen=True)
@@ -78,12 +103,17 @@ class CampaignConfig:
 
 @dataclass
 class SeedResult:
-    """What one seed's plan did to one server pair."""
+    """What one seed's plans did across its three legs."""
 
     seed: int
-    plan: dict[str, Any] = field(default_factory=dict)
-    fired: dict[str, int] = field(default_factory=dict)
+    plan: dict[str, Any] = field(default_factory=dict)  # the servers' plan
+    fired: dict[str, int] = field(default_factory=dict)  # all legs
     violations: list[str] = field(default_factory=list)
+    sweep_plan: dict[str, Any] = field(default_factory=dict)
+    sweep_fired: dict[str, int] = field(default_factory=dict)
+    quarantined: int = 0  # by the faulted sweep
+    victim_state: str | None = None
+    respawns: int = 0  # worker-pool respawns after the worker kill
     requests: int = 0
     retries: int = 0
     rejected: int = 0
@@ -148,6 +178,11 @@ class CampaignReport:
                     "plan": seed.plan,
                     "fired": dict(sorted(seed.fired.items())),
                     "violations": list(seed.violations),
+                    "sweep_plan": seed.sweep_plan,
+                    "sweep_fired": dict(sorted(seed.sweep_fired.items())),
+                    "quarantined": seed.quarantined,
+                    "victim_state": seed.victim_state,
+                    "respawns": seed.respawns,
                     "requests": seed.requests,
                     "retries": seed.retries,
                     "rejected": seed.rejected,
@@ -188,20 +223,20 @@ def reference_rows(workload: str, fracs: tuple[float, ...],
     request expands to its experiment grid, the DAG runs (here: inline,
     no cache, no faults), and the deterministic ``results.jsonl``
     records are the rows.  This is the byte-identity baseline every
-    served and replayed response is compared against.
+    served and replayed response is compared against.  All points run
+    as one merged DAG, so the workload is profiled once.
     """
-    reference: dict[float, list[str]] = {}
-    for frac in fracs:
-        parsed = protocol.parse_request(
-            {"workload": workload, "deadline_frac": frac})
-        graph = build_task_graph(list(parsed.experiments),
-                                 solver_budget_s=None, solver_backend="auto")
-        results = run_graph(graph, store=None, config=ExecutorConfig(jobs=1))
-        rows = [manifest_mod.experiment_record(spec, graph, results)
-                for spec in sorted(graph.experiments,
-                                   key=lambda s: s.experiment_id)]
-        reference[frac] = [_canon(row) for row in rows]
-    return reference
+    parsed = {frac: protocol.parse_request(
+        {"workload": workload, "deadline_frac": frac}) for frac in fracs}
+    graph = build_task_graph(
+        [spec for request in parsed.values() for spec in request.experiments])
+    results = run_graph(graph, store=None, config=ExecutorConfig(jobs=1))
+    return {
+        frac: [_canon(manifest_mod.experiment_record(spec, graph, results))
+               for spec in sorted(request.experiments,
+                                  key=lambda s: s.experiment_id)]
+        for frac, request in parsed.items()
+    }
 
 
 # -- server harness --------------------------------------------------------------
@@ -320,7 +355,8 @@ def _check_rows(document: dict[str, Any], reference: list[str],
 
 
 def _poll_job(client: ReproClient, job_id: str, states: tuple[str, ...],
-              timeout_s: float) -> dict[str, Any] | None:
+              timeout_s: float, interval_s: float = 0.2,
+              ) -> dict[str, Any] | None:
     """Poll ``/v1/jobs/<id>`` until its state lands in ``states``."""
     deadline = time.monotonic() + timeout_s
     while time.monotonic() < deadline:
@@ -329,14 +365,170 @@ def _poll_job(client: ReproClient, job_id: str, states: tuple[str, ...],
             state = outcome.document.get("job", {}).get("state")
             if state in states:
                 return outcome.document
-        time.sleep(0.2)
+        time.sleep(interval_s)
     return None
+
+
+def _injected() -> dict[str, int]:
+    """This process's ``faultplane.injected.*`` counters, per point."""
+    return {point: int(observe.counter_value(f"faultplane.injected.{point}"))
+            for point in CATALOG}
+
+
+def _sweep_leg(seed: int, config: CampaignConfig, seed_dir: Path,
+               result: SeedResult) -> None:
+    """Baseline sweep, then the same grid under the seed's sweep plan."""
+
+    def sweep(name: str, **knobs: Any):
+        return run_sweep(SweepConfig(
+            workloads=(config.workload,), deadline_fracs=config.traffic_fracs,
+            jobs=SWEEP_JOBS, cache_dir=str(seed_dir / "sweep-cache"),
+            output_dir=str(seed_dir / name), **knobs))
+
+    baseline = sweep("sweep-baseline")
+    if not baseline.ok:
+        result.violations.append(
+            f"sweep leg: baseline failed before any fault was injected: "
+            f"{[r['experiment'] for r in baseline.failures]}")
+        return
+    baseline_rows = {r["experiment"]: _canon(r)
+                     for r in baseline.experiment_records}
+
+    plan = FaultPlan.from_seed(seed, points=SWEEP_POINTS,
+                               horizon=config.horizon)
+    result.sweep_plan = json.loads(plan.to_json())
+    # Hits are counted per worker, so one task can meet every worker's
+    # worker.crash fires in turn; one attempt more always gets through.
+    retries = SWEEP_JOBS * len(plan.schedule.get("worker.crash", ()))
+    # Recording makes the workers ship their injection counters back.
+    was_enabled = observe.enabled()
+    observe.enable()
+    before = _injected()
+    faultplane.install(plan, env=True)
+    try:
+        faulted = sweep("sweep-faulted", retries=retries,
+                        solver_budget_s=SWEEP_SOLVER_BUDGET_S)
+    finally:
+        faultplane.uninstall()
+        after = _injected()
+        if not was_enabled:
+            observe.disable()
+    result.sweep_fired = {point: after[point] - before[point]
+                          for point in CATALOG if after[point] > before[point]}
+    _merge_fired(result.fired, result.sweep_fired)
+    result.quarantined = faulted.cache_stats.get("quarantined", 0)
+
+    if faulted.interrupted or len(faulted.results) < len(faulted.graph.tasks):
+        result.violations.append(
+            f"sweep leg: faulted sweep did not complete: "
+            f"{len(faulted.results)}/{len(faulted.graph.tasks)} tasks")
+    degraded = {eid for tid in faulted.degraded_tasks
+                for eid in faulted.graph.tasks[tid].experiments}
+    for row in faulted.experiment_records:
+        eid = row["experiment"]
+        if row["status"] in ("failed", "verify_failed"):
+            result.violations.append(
+                f"sweep leg: {eid} leaked a {row['status']} row")
+        elif eid not in degraded and _canon(row) != baseline_rows.get(eid):
+            result.violations.append(
+                f"sweep leg: {eid} drifted from the baseline")
+    corrupted = result.sweep_fired.get("cache.read.corrupt", 0)
+    if result.quarantined < corrupted:
+        result.violations.append(
+            f"sweep leg: {result.quarantined} of {corrupted} corrupted "
+            f"cache reads quarantined")
+    audit = verify_store(ArtifactStore(seed_dir / "sweep-cache"),
+                         quarantine=False)
+    if not audit.ok:
+        result.violations.append(
+            f"sweep leg: store still corrupt afterwards: {audit.summary}")
+
+
+def _worker_kill_leg(client: ReproClient, config: CampaignConfig,
+                     reference: dict[float, list[str]], result: SeedResult,
+                     record: Callable[[Any], None],
+                     log: Callable[[str], None]) -> None:
+    """SIGKILL the server's workers under a running victim, then probe."""
+    victim_frac, probe_frac = CRASH_FRACS
+
+    def health() -> dict[str, Any]:
+        outcome = client.get_json("/healthz")
+        if outcome.status != 200 or outcome.document is None:
+            result.violations.append(
+                f"worker-kill leg: /healthz answered {outcome.status}")
+            return {}
+        return outcome.document
+
+    def crashes() -> int:
+        document = client.get_json("/v1/metrics").document or {}
+        return int(document.get("counters", {})
+                   .get("executor.worker_crashes", 0))
+
+    respawns_before = health().get("pool", {}).get("respawns", 0)
+    crashes_before = crashes()
+    outcome = client.submit({"workload": config.workload,
+                             "deadline_frac": victim_frac})
+    record(outcome)
+    if outcome.status not in (200, 202):
+        result.violations.append(
+            f"worker-kill leg: victim submit status {outcome.status}")
+        return
+    victim_id = _job_id_for(config.workload, victim_frac)
+    seen = _poll_job(client, victim_id, ("running", "done", "failed"),
+                     config.poll_timeout_s, interval_s=0.01) or {}
+    pids = health().get("pool", {}).get("pids", [])
+    if not pids:
+        result.violations.append("worker-kill leg: /healthz listed no "
+                                 "worker pids to kill")
+    for pid in pids:
+        try:
+            os.kill(pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass  # already gone
+    log(f"seed {result.seed}: killed workers {pids} while the victim was "
+        f"{seen.get('job', {}).get('state')}")
+
+    document = _poll_job(client, victim_id, ("done", "failed"),
+                         config.poll_timeout_s)
+    if document is None:
+        result.violations.append(
+            "worker-kill leg: victim never reached a terminal state")
+    else:
+        job = document.get("job", {})
+        result.victim_state = job.get("state")
+        if result.victim_state == "done":
+            bad = [row for row in document.get("results", [])
+                   if row.get("status") != "ok"]
+            if bad:
+                result.violations.append(
+                    f"worker-kill leg: victim served {len(bad)} "
+                    f"unverified row(s)")
+        elif not job.get("error"):
+            result.violations.append(
+                "worker-kill leg: victim failed without a structured error")
+
+    probe = client.submit({"workload": config.workload,
+                           "deadline_frac": probe_frac, "wait": True})
+    record(probe)
+    if not probe.ok or probe.document is None:
+        result.violations.append(
+            f"worker-kill leg: probe final status {probe.status} "
+            f"({probe.error or 'no body'})")
+    else:
+        _check_rows(probe.document, reference[probe_frac],
+                    f"worker-kill leg: probe frac={probe_frac}",
+                    result.violations)
+    result.respawns = (health().get("pool", {}).get("respawns", 0)
+                       - respawns_before)
+    if not result.respawns and crashes() <= crashes_before:
+        result.violations.append(
+            "worker-kill leg: no respawn or worker crash recorded; "
+            "the kill never landed")
 
 
 def _torn_journal_check(seed: int, scratch: Path,
                         result: SeedResult) -> None:
     """The journal.torn leg: tear an append, prove recovery stays clean."""
-    before = dict(result.fired)
     # Hit 4 is the admit of the second job: header(1), admit A(2),
     # finish A(3), admit B(4) — so everything recorded before the tear
     # must survive and nothing after it may turn to garbage.
@@ -357,37 +549,39 @@ def _torn_journal_check(seed: int, scratch: Path,
                     parsed_b.canonical)  # torn mid-record
         store.finished(parsed_b.request_key, "done", result={})  # no-op: broken
         store.close()
-        if not store.broken:
-            result.violations.append(
-                "torn-journal check: the scheduled tear never fired")
-            return
-        recovered = JobStore(scratch).load()
-        job_a = recovered.get(parsed_a.request_key)
-        if job_a is None or job_a.state != "done" or job_a.result is None:
-            result.violations.append(
-                "torn-journal check: a completed entry recorded before "
-                "the tear was lost")
-        job_b = recovered.get(parsed_b.request_key)
-        if job_b is not None and job_b.state != "queued":
-            result.violations.append(
-                "torn-journal check: the torn record resurfaced with state "
-                f"{job_b.state!r}")
     finally:
         faultplane.uninstall()
-        result.fired = dict(result.fired)
-        _merge_fired(result.fired, {"journal.torn": 1})
-        del before  # merged explicitly above; local fire count is known
+    if not store.broken:
+        result.violations.append(
+            "torn-journal check: the scheduled tear never fired")
+        return
+    _merge_fired(result.fired, {"journal.torn": 1})
+    recovered = JobStore(scratch).load()
+    job_a = recovered.get(parsed_a.request_key)
+    if job_a is None or job_a.state != "done" or job_a.result is None:
+        result.violations.append(
+            "torn-journal check: a completed entry recorded before "
+            "the tear was lost")
+    job_b = recovered.get(parsed_b.request_key)
+    if job_b is not None and job_b.state != "queued":
+        result.violations.append(
+            "torn-journal check: the torn record resurfaced with state "
+            f"{job_b.state!r}")
 
 
 def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
               reference: dict[float, list[str]],
               log: Callable[[str], None]) -> SeedResult:
     result = SeedResult(seed=seed)
+    seed_dir = out_dir / f"seed-{seed}"
+    _sweep_leg(seed, config, seed_dir, result)
+    log(f"seed {seed}: sweep leg done (fired {result.sweep_fired}, "
+        f"quarantined {result.quarantined})")
+
     plan = FaultPlan.from_seed(
         seed, points=[p for p in CATALOG if p != "journal.torn"],
         horizon=config.horizon)
     result.plan = json.loads(plan.to_json())
-    seed_dir = out_dir / f"seed-{seed}"
     cache_dir, store_dir = seed_dir / "cache", seed_dir / "jobs"
     env = dict(os.environ)
     env[faultplane.PLAN_ENV] = plan.to_json()
@@ -404,7 +598,7 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
     try:
         client = ReproClient(server.host, server.port, policy=policy,
                              seed=seed)
-        # Phase 1: wait-mode traffic (with duplicates) under faults.
+        # Wait-mode traffic (with duplicates) under faults.
         for frac in config.traffic_fracs:
             for repeat in range(1 + config.duplicates):
                 outcome = client.submit({"workload": config.workload,
@@ -422,7 +616,11 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
         log(f"seed {seed}: traffic done "
             f"({result.requests} requests, {result.retries} retries)")
 
-        # Phase 2: put fresh jobs on the books, then SIGKILL.
+        _worker_kill_leg(client, config, reference, result, record, log)
+        log(f"seed {seed}: worker-kill leg done (victim "
+            f"{result.victim_state}, {result.respawns} respawn(s))")
+
+        # Kill->resume leg: put fresh jobs on the books, then SIGKILL.
         kill_running, kill_queued = config.kill_fracs[0], config.kill_fracs[1]
         for frac in (kill_running, kill_queued):
             outcome = client.submit({"workload": config.workload,
@@ -443,7 +641,7 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
         server.ensure_dead()
     _merge_fired(result.fired, _fault_counters(metrics_a))
 
-    # Phase 3: resume and hold the durability contract to account.
+    # Resume and hold the durability contract to account.
     resumed = _spawn_server(cache_dir, store_dir, env, resume=True,
                             timeout_s=config.spawn_timeout_s)
     metrics_b: dict[str, Any] | None = None
@@ -498,7 +696,7 @@ def _run_seed(seed: int, config: CampaignConfig, out_dir: Path,
         resumed.ensure_dead()
     _merge_fired(result.fired, _fault_counters(metrics_b))
 
-    # Phase 4: the journal.torn leg, in-process on a scratch store.
+    # The journal.torn check, in-process on a scratch store.
     _torn_journal_check(seed, seed_dir / "torn-check", result)
     return result
 
@@ -511,19 +709,21 @@ def run_campaign(config: CampaignConfig | None = None,
     if len(config.kill_fracs) < 2:
         raise ServeError("campaign needs two kill_fracs "
                          "(one running, one queued at SIGKILL time)")
+    fracs = config.traffic_fracs + CRASH_FRACS + config.kill_fracs
+    if len(set(fracs)) != len(fracs):
+        raise ServeError(f"campaign deadline points must be distinct, so "
+                         f"every leg submits fresh jobs: {fracs}")
     log = on_progress or (lambda message: None)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # The reference (and the torn-check) must run fault-free in-process.
+    # The reference must run fault-free in-process.
     faultplane.uninstall()
     log(f"computing fault-free reference rows for {config.workload} "
-        f"x {len(set(config.traffic_fracs + config.kill_fracs))} deadlines")
-    reference = reference_rows(
-        config.workload,
-        tuple(dict.fromkeys(config.traffic_fracs + config.kill_fracs)))
+        f"x {len(fracs)} deadlines")
+    reference = reference_rows(config.workload, fracs)
     report = CampaignReport(config=config)
     for seed in range(config.seeds):
-        log(f"seed {seed}: plan installed, spawning server")
+        log(f"seed {seed}: starting the sweep leg")
         report.seeds.append(
             _run_seed(seed, config, out_dir, reference, log))
     return report

@@ -1,11 +1,10 @@
-"""Unified deterministic fault-injection plane.
+"""The deterministic fault-injection plane.
 
-Earlier PRs grew three ad-hoc chaos mechanisms: cache corruption in
-:mod:`repro.resilience.chaos`, per-task ``inject_fault`` payload flags in
-the executor, and worker SIGKILLs in :mod:`repro.serve.chaos`.  This
-module replaces the scattered *injection hooks* with one registry of
-named fault points and one seeded :class:`FaultPlan` that decides, per
-point, on exactly which hit counts the fault fires.
+Every injected fault in the codebase goes through this module: one
+registry of named fault points and one seeded :class:`FaultPlan` that
+decides, per point, on exactly which hit counts the fault fires.  The
+chaos campaign (:mod:`repro.resilience.campaign`) drives it; tests
+install small explicit plans.
 
 Design:
 
@@ -264,8 +263,8 @@ def torn_text(text: str, point: str = "journal.torn") -> str | None:
 def damage_file(path: os.PathLike | str) -> bool:
     """Shared corruption primitive: truncate a file to half its bytes.
 
-    Used by the cache fault points and by the chaos harness, so "disk
-    damage" means the same thing everywhere.  Returns False when the
+    Used by both cache fault points, so "disk damage" means the same
+    thing on the read and the write path.  Returns False when the
     file is missing or empty.
     """
     try:

@@ -21,14 +21,13 @@ Failure semantics, in order of application:
   proceeds.  The executor itself only raises for malformed graphs,
   never for failing experiments.
 
-Fault injection (:class:`FaultSpec`) deliberately kills matching task
-attempts inside the worker — the degradation path is tested, not
-assumed.
+Fault injection goes through :mod:`repro.resilience.faultplane`: the
+``worker.crash`` and ``worker.hang`` points fire at the task entry, so
+the degradation path is tested, not assumed.
 """
 
 from __future__ import annotations
 
-import fnmatch
 import logging
 import multiprocessing
 import os
@@ -52,38 +51,6 @@ logger = logging.getLogger("repro.executor")
 
 
 @dataclass(frozen=True)
-class FaultSpec:
-    """Kill worker tasks whose id matches a glob pattern.
-
-    Args:
-        pattern: fnmatch glob over task ids (e.g. ``"optimize:gsm*"``).
-        fail_attempts: how many leading attempts to kill; ``None`` kills
-            every attempt (the task can never succeed).
-    """
-
-    pattern: str
-    fail_attempts: int | None = None
-
-    def applies(self, task_id: str, attempt: int) -> bool:
-        if not fnmatch.fnmatch(task_id, self.pattern):
-            return False
-        return self.fail_attempts is None or attempt <= self.fail_attempts
-
-    @classmethod
-    def parse(cls, text: str) -> "FaultSpec":
-        """Parse ``PATTERN`` or ``PATTERN@N`` (fail the first N attempts)."""
-        if "@" in text:
-            pattern, _, count = text.rpartition("@")
-            try:
-                return cls(pattern, fail_attempts=int(count))
-            except ValueError:
-                raise OrchestrationError(
-                    f"malformed fault spec {text!r} (want PATTERN or PATTERN@N)"
-                ) from None
-        return cls(text)
-
-
-@dataclass(frozen=True)
 class ExecutorConfig:
     """Knobs for one :func:`run_graph` invocation."""
 
@@ -91,7 +58,6 @@ class ExecutorConfig:
     task_timeout_s: float | None = None
     retries: int = 1
     backoff_s: float = 0.05
-    fault: FaultSpec | None = None
 
 
 @dataclass
@@ -194,7 +160,7 @@ def _run_task_entry(payload: dict[str, Any]) -> dict[str, Any]:
         attempt=payload["attempt"],
     )
     try:
-        if payload.get("inject_fault") or faultplane.fire("worker.crash"):
+        if faultplane.fire("worker.crash"):
             raise InjectedFault(
                 f"injected fault in {payload['task_id']} "
                 f"(attempt {payload['attempt']})"
@@ -505,9 +471,6 @@ def run_graph(
             "timeout_s": config.task_timeout_s,
             "cache_key": task.cache_key,
             "store_root": str(store.root) if store is not None else None,
-            "inject_fault": bool(
-                config.fault and config.fault.applies(task.task_id, attempt)
-            ),
             "trace": observe.enabled(),
             "trace_parent": tspan.span_id or None,
             "trace_fresh": pool is not None,

@@ -1,5 +1,6 @@
-"""Chaos-campaign tests: report mechanics, the torn-journal leg, and a
-single-seed end-to-end smoke against real subprocess servers."""
+"""Chaos-campaign tests: report mechanics, the sweep and torn-journal
+legs, and a single-seed end-to-end smoke against real subprocess
+servers."""
 
 from __future__ import annotations
 
@@ -10,12 +11,15 @@ from pathlib import Path
 
 import pytest
 
+from repro.errors import ServeError
 from repro.resilience import EXIT_DEGRADED, EXIT_FAILURE, EXIT_OK, faultplane
 from repro.resilience.campaign import (
+    SWEEP_POINTS,
     CampaignConfig,
     CampaignReport,
     SeedResult,
     _spawn_server,
+    _sweep_leg,
     _torn_journal_check,
     reference_rows,
     run_campaign,
@@ -63,7 +67,15 @@ class TestReport:
         assert document["exit_code"] == EXIT_DEGRADED
         assert document["points_total"] == len(CATALOG)
         assert document["seeds"][0]["fired"] == {"io.slow": 1}
+        for key in ("sweep_fired", "quarantined", "victim_state", "respawns"):
+            assert key in document["seeds"][0]
         assert document["summary"].startswith("chaos campaign")
+
+    def test_deadline_points_must_be_fresh_per_leg(self, tmp_path):
+        config = CampaignConfig(traffic_fracs=(0.5, 0.62),
+                                output_dir=tmp_path)
+        with pytest.raises(ServeError, match="distinct"):
+            run_campaign(config)
 
 
 class TestTornJournalLeg:
@@ -75,12 +87,46 @@ class TestTornJournalLeg:
         # And the harness plan did not leak into this process.
         assert faultplane.active_plan() is None
 
+    def test_tear_that_never_fires_is_not_counted(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.setattr(faultplane, "torn_text",
+                            lambda text, point="journal.torn": None)
+        result = SeedResult(seed=0)
+        _torn_journal_check(0, tmp_path / "torn", result)
+        assert result.fired == {}
+        assert result.violations == [
+            "torn-journal check: the scheduled tear never fired"]
+
     def test_reference_rows_are_deterministic(self):
         once = reference_rows("adpcm", (0.5,))
         twice = reference_rows("adpcm", (0.5,))
         assert once == twice
         assert once[0.5]  # non-empty, canonical JSON strings
         assert all(isinstance(row, str) for row in once[0.5])
+
+
+@pytest.mark.slow
+class TestSweepLeg:
+    def test_invariants_hold_under_injected_faults(self, tmp_path):
+        result = SeedResult(seed=0)
+        _sweep_leg(0, CampaignConfig(traffic_fracs=(0.5,)), tmp_path, result)
+        assert result.violations == []
+        # Seed 0 corrupts the first cache read; every damaged entry was
+        # caught (the clean audit afterwards is a leg invariant).
+        assert result.sweep_fired.get("cache.read.corrupt", 0) >= 1
+        assert result.quarantined >= result.sweep_fired["cache.read.corrupt"]
+        assert set(result.sweep_fired) <= set(SWEEP_POINTS)
+        assert set(result.sweep_plan["schedule"]) == set(SWEEP_POINTS)
+        assert result.fired == result.sweep_fired
+        # The leg absorbed real faults, so the report must say so.
+        report = CampaignReport(config=CampaignConfig(), seeds=[result])
+        assert report.exit_code == EXIT_DEGRADED
+        # Both sweeps left their artifacts behind.
+        assert (tmp_path / "sweep-baseline" / "results.jsonl").exists()
+        assert (tmp_path / "sweep-faulted" / "results.jsonl").exists()
+        # The plan was exported for the workers and withdrawn afterwards.
+        assert faultplane.active_plan() is None
+        assert faultplane.PLAN_ENV not in os.environ
 
 
 @pytest.mark.slow
@@ -101,6 +147,12 @@ def test_single_seed_campaign_end_to_end(tmp_path):
     assert seed.replayed >= 1
     assert seed.recovered >= 1
     assert seed.resume_drain_exit == EXIT_OK
+    # Sweep leg: faults fired, every corrupted read was quarantined.
+    assert seed.sweep_fired
+    assert seed.quarantined >= seed.sweep_fired.get("cache.read.corrupt", 0)
+    # Worker-kill leg: the victim ended terminal and the pool respawned.
+    assert seed.victim_state in ("done", "failed")
+    assert seed.respawns >= 1
     assert len(report.points_exercised) >= 5
     path = write_report(report, tmp_path / "campaign" / "campaign.json")
     assert json.loads(path.read_text())["violations"] == []

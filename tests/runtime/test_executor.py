@@ -2,14 +2,17 @@
 
 These drive the *real* pipeline over the cheapest workload (adpcm) so
 the executor is exercised against genuine task payloads, not mocks.
+The fault cases make one stage's ``execute_task`` raise; every other
+stage still runs for real.
 """
 
 import pytest
 
-from repro.errors import OrchestrationError
+from repro.errors import InjectedFault, OrchestrationError
+from repro.runtime import executor
 from repro.runtime.cache import ArtifactStore
 from repro.runtime.dag import ExperimentSpec, build_task_graph
-from repro.runtime.executor import ExecutorConfig, FaultSpec, run_graph
+from repro.runtime.executor import ExecutorConfig, run_graph
 
 
 @pytest.fixture(scope="module")
@@ -51,13 +54,27 @@ class TestHappyPath:
         assert by_kind(pooled)["simulate"].output == by_kind(inline)["simulate"].output
 
 
+def fail_kind(monkeypatch, kind, times=None):
+    """Make ``kind`` tasks raise InjectedFault (the first ``times`` calls,
+    or every call when ``times`` is None)."""
+    real = executor.execute_task
+    calls = {"n": 0}
+
+    def flaky(task_kind, spec, deps):
+        if task_kind == kind:
+            calls["n"] += 1
+            if times is None or calls["n"] <= times:
+                raise InjectedFault(f"injected fault in {kind}")
+        return real(task_kind, spec, deps)
+
+    monkeypatch.setattr(executor, "execute_task", flaky)
+
+
 class TestFaultsAndRetries:
-    def test_persistent_fault_degrades_gracefully(self, graph):
-        config = ExecutorConfig(
-            jobs=1, retries=1, backoff_s=0.0,
-            fault=FaultSpec("optimize:*"),
-        )
-        results = run_graph(graph, config=config)
+    def test_persistent_fault_degrades_gracefully(self, graph, monkeypatch):
+        fail_kind(monkeypatch, "optimize")
+        results = run_graph(graph, config=ExecutorConfig(
+            jobs=1, retries=1, backoff_s=0.0))
         kinds = by_kind(results)
         assert kinds["optimize"].status == "failed"
         assert kinds["optimize"].error_type == "InjectedFault"
@@ -67,36 +84,22 @@ class TestFaultsAndRetries:
         # Upstream and sibling tasks are untouched by the failure.
         assert kinds["profile"].ok and kinds["bound"].ok
 
-    def test_transient_fault_is_retried_to_success(self, graph):
-        config = ExecutorConfig(
-            jobs=1, retries=1, backoff_s=0.0,
-            fault=FaultSpec("optimize:*", fail_attempts=1),
-        )
-        results = run_graph(graph, config=config)
+    def test_transient_fault_is_retried_to_success(self, graph, monkeypatch):
+        fail_kind(monkeypatch, "optimize", times=1)
+        results = run_graph(graph, config=ExecutorConfig(
+            jobs=1, retries=1, backoff_s=0.0))
         kinds = by_kind(results)
         assert kinds["optimize"].ok
         assert kinds["optimize"].attempts == 2
         assert kinds["verify"].ok
 
-    def test_skip_reason_names_the_failed_dependency(self, graph):
-        results = run_graph(graph, config=ExecutorConfig(
-            jobs=1, retries=0, fault=FaultSpec("profile:*")))
+    def test_skip_reason_names_the_failed_dependency(self, graph,
+                                                     monkeypatch):
+        fail_kind(monkeypatch, "profile")
+        results = run_graph(graph, config=ExecutorConfig(jobs=1, retries=0))
         verify = by_kind(results)["verify"]
         assert verify.status == "skipped"
         assert "profile:" in verify.error
-
-    def test_fault_spec_parsing(self):
-        spec = FaultSpec.parse("optimize:gsm*@2")
-        assert spec.pattern == "optimize:gsm*" and spec.fail_attempts == 2
-        assert FaultSpec.parse("simulate:*").fail_attempts is None
-        with pytest.raises(OrchestrationError):
-            FaultSpec.parse("x@notanumber")
-
-    def test_fault_applies_matching(self):
-        spec = FaultSpec("optimize:*", fail_attempts=1)
-        assert spec.applies("optimize:gsm", attempt=1)
-        assert not spec.applies("optimize:gsm", attempt=2)
-        assert not spec.applies("profile:gsm", attempt=1)
 
 
 class TestTimeouts:

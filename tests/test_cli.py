@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.resilience import faultplane
 
 
 class TestList:
@@ -183,21 +184,29 @@ class TestSweepCommand:
         # Every cached stage hits: profile, optimize, simulate.
         assert "cache: 3 hits" in warm
 
-    def test_sweep_fault_injection_fails_but_completes(self, capsys, tmp_path):
-        # The sweep completes and absorbs the failure, so it exits with
+    def test_sweep_fault_injection_fails_but_completes(
+            self, capsys, tmp_path, monkeypatch):
+        # A worker.crash plan from the environment kills the first task;
+        # the sweep completes and absorbs the failure, so it exits with
         # the documented *degraded* code, not a hard failure.
-        assert main([
-            "sweep", "--workloads", "adpcm", "--deadline-fracs", "0.5",
-            "--no-cache", "--retries", "0",
-            "--inject-fault", "optimize:*",
-            "--output-dir", str(tmp_path / "out"),
-        ]) == 3
+        faultplane.uninstall()  # re-read the plan from the environment
+        plan = faultplane.FaultPlan(seed=0, schedule={"worker.crash": (1,)})
+        monkeypatch.setenv(faultplane.PLAN_ENV, plan.to_json())
+        try:
+            assert main([
+                "sweep", "--workloads", "adpcm", "--deadline-fracs", "0.5",
+                "--no-cache", "--retries", "0",
+                "--output-dir", str(tmp_path / "out"),
+            ]) == 3
+        finally:
+            faultplane.uninstall()
         captured = capsys.readouterr()
         assert "FAILED" in captured.err
         record = json.loads(
             (tmp_path / "out" / "results.jsonl").read_text().strip())
         assert record["status"] == "failed"
-        assert record["failures"]["optimize"]["error_type"] == "InjectedFault"
+        # compile is the DAG's only root, so it takes hit 1.
+        assert record["failures"]["compile"]["error_type"] == "InjectedFault"
 
     def test_sweep_rejects_bad_fraction(self, capsys, tmp_path):
         assert main([
@@ -205,6 +214,30 @@ class TestSweepCommand:
             "--no-cache", "--output-dir", str(tmp_path / "out"),
         ]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestChaosCommand:
+    @pytest.mark.parametrize("argv, fracs", [
+        ([], (0.35, 0.5)),
+        (["--deadline-fracs", "0.5,0.35,0.5"], (0.5, 0.35)),
+        (["--deadline-fracs", "0.5"], (0.5,)),
+    ])
+    def test_traffic_points_reach_the_config(self, monkeypatch, tmp_path,
+                                             argv, fracs):
+        from repro.resilience import campaign
+
+        seen = []
+
+        def fake_campaign(config, on_progress=None):
+            seen.append(config)
+            return campaign.CampaignReport(config=config)
+
+        monkeypatch.setattr(campaign, "run_campaign", fake_campaign)
+        assert main(["chaos", "--quiet", "--output-dir", str(tmp_path),
+                     *argv]) == 0  # nothing ran, so nothing fired
+        assert seen[0].traffic_fracs == fracs
+        if not argv:
+            assert fracs == campaign.CampaignConfig().traffic_fracs
 
 
 class TestFuzzCommand:
