@@ -654,7 +654,7 @@ def cmd_trace(args) -> int:
     except ValueError as error:
         raise ReproError(str(error)) from None
     if args.trace_command == "summarize":
-        print(render.render_trace_summary(spans))
+        print(render.render_trace_summary(spans, by=args.by))
     else:
         print(render.render_trace_tree(spans, max_spans=args.limit))
     return EXIT_OK
@@ -1190,6 +1190,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="sweep output directory (default sweep-results)")
     p_trace.add_argument("--limit", type=int, default=200,
                          help="max spans for `show` (default 200; 0 = all)")
+    p_trace.add_argument("--by", metavar="ATTR",
+                         help="`summarize` per value of this span attribute "
+                              "(e.g. kind: one row per DAG stage)")
     p_trace.set_defaults(fn=cmd_trace)
 
     p_stats = sub.add_parser(

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -70,12 +70,19 @@ def render_trace_tree(spans: list[dict[str, Any]], max_spans: int = 0) -> str:
     return "\n".join(lines)
 
 
-def summarize_spans(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
-    """Aggregate spans by name: count, total/mean/max wall, total CPU."""
+def summarize_spans(spans: list[dict[str, Any]],
+                    key: Callable[[dict[str, Any]], str | None] | None = None,
+                    ) -> list[dict[str, Any]]:
+    """Aggregate spans by ``key`` (default: the span name): count,
+    total/mean/max wall, total CPU.  Spans ``key`` maps to None are
+    left out."""
     groups: dict[str, dict[str, Any]] = {}
     for span in spans:
-        group = groups.setdefault(span["name"], {
-            "name": span["name"], "count": 0,
+        name = span["name"] if key is None else key(span)
+        if name is None:
+            continue
+        group = groups.setdefault(name, {
+            "name": name, "count": 0,
             "wall_s": 0.0, "max_wall_s": 0.0, "cpu_s": 0.0,
         })
         group["count"] += 1
@@ -86,11 +93,25 @@ def summarize_spans(spans: list[dict[str, Any]]) -> list[dict[str, Any]]:
     return sorted(groups.values(), key=lambda g: -g["wall_s"])
 
 
-def render_trace_summary(spans: list[dict[str, Any]]) -> str:
-    """Per-span-name aggregate table."""
-    rows = summarize_spans(spans)
+def by_attribute(attr: str) -> Callable[[dict[str, Any]], str | None]:
+    """Group key for spans carrying ``attr``: ``name[attr=value]`` (e.g.
+    ``executor.task[kind=profile]``, one row per DAG stage)."""
+    def key(span: dict[str, Any]) -> str | None:
+        attrs = span.get("attrs") or {}
+        if attr not in attrs:
+            return None
+        return f"{span['name']}[{attr}={attrs[attr]}]"
+    return key
+
+
+def render_trace_summary(spans: list[dict[str, Any]],
+                         by: str | None = None) -> str:
+    """Aggregate table: per span name, or per ``by`` attribute value of
+    the spans that carry it."""
+    rows = summarize_spans(spans, None if by is None else by_attribute(by))
     if not rows:
-        return "(no spans recorded)"
+        return ("(no spans recorded)" if by is None
+                else f"(no spans carry attribute {by!r})")
     name_width = max(len(row["name"]) for row in rows)
     name_width = max(name_width, len("span"))
     header = (f"{'span':<{name_width}}  {'count':>7}  {'total':>10}  "

@@ -10,9 +10,10 @@ the structurally repetitive executions profiled DVS workloads are made of:
   functions that validate cache residency, re-execute the data arithmetic
   and let the dispatcher replay the block's folded (Δt, Δe, Δstats) delta;
 * :mod:`repro.perf.loopc` — steady-state loop fast-forwarding: whole
-  natural loops compiled into one function with registers as locals;
-* :mod:`repro.perf.engine` — the compiled-program cache and per-mode
-  delta tables;
+  natural loops compiled into one function with registers as locals,
+  committing every timing lane of a multi-mode pass;
+* :mod:`repro.perf.engine` — the process-wide compiled-program cache and
+  per-mode delta tables;
 * :mod:`repro.perf.bench` — the benchmark harness behind ``repro bench``
   and ``benchmarks/test_perf_simulator.py``.
 

@@ -13,9 +13,10 @@ small generated Python function that
 Everything else about the execution — Δtime, Δenergy, Δcycle-classes,
 Δcache-hit counters — is a constant of (block, mode) under the fast path's
 preconditions (empty pending set, no outstanding miss, all-L1-resident),
-so it is folded once per mode by :func:`fold_block_consts` replicating the
-interpreter's float-accumulation order bit for bit, and replayed
-arithmetically by the machine's dispatcher.
+so it is folded once per mode by :func:`fold_block_consts` — the timing
+rules of :class:`~repro.simulator.lanes.Lane` applied to an all-L1-hit
+execution, bit for bit the interpreter's float-accumulation order — and
+replayed arithmetically by the machine's dispatcher.
 
 Safety of a mid-block bail-out (the interpreter then re-executes the block
 from scratch) rests on three invariants of the generated code:
@@ -48,11 +49,11 @@ from repro.ir.instructions import (
     Jump,
     Load,
     Move,
-    OpClass,
     Ret,
     Store,
     UnOp,
 )
+from repro.simulator.lanes import Lane, l1_outcomes, timing_ops
 
 
 class Bail(Exception):
@@ -325,57 +326,25 @@ def compile_block(label: str, instrs, line_addrs, config, element_size: int):
     return namespace["_blk"]
 
 
-def fold_block_consts(instrs, line_addrs, config, cycle_time, voltage, op_energy):
+def fold_block_consts(instrs, line_addrs, config, point, op_energy):
     """Fold one block's per-execution delta for one mode.
 
-    Replicates the interpreter's accumulation order *operation for
-    operation* under the fast-path preconditions (every access an L1 hit,
-    nothing pending, no outstanding miss), so the folded ``dt``/``de`` are
-    bitwise the values the reference interpreter's block-local accumulators
-    would reach.
+    Times the block on a quiescent :class:`~repro.simulator.lanes.Lane`
+    (nothing pending, no outstanding miss) with every access an L1 hit —
+    the fast path's preconditions — so the folded ``dt``/``de`` are
+    bitwise the values the reference interpreter's block-local
+    accumulators would reach.
 
     Returns:
         ``(dt, de, n_instr, dep_cycles, cache_cycles, ifetch_cycles,
         d_hits, i_hits)``.
     """
-    bt = 0.0
-    e = 0.0
-    dep = 0
-    cc = 0
-    base_c = config.base_c_eff_nf
-    l1i_c = config.l1i.access_energy_nf
-    l1d_c = config.l1d.access_energy_nf
     hit_i = config.l1i.hit_latency_cycles
     hit_d = config.l1d.hit_latency_cycles
-    n_d = 0
-    for _ in line_addrs:
-        bt += hit_i * cycle_time
-        e += (l1i_c + base_c * hit_i) * voltage * voltage
-    for instr in instrs:
-        cls = instr.op_class
-        if isinstance(instr, (Load, Store)):
-            bt += cycle_time
-            e += op_energy[cls]
-            bt += hit_d * cycle_time
-            e += (l1d_c + base_c * hit_d) * voltage * voltage
-            cc += 1 + hit_d
-            n_d += 1
-        elif isinstance(instr, (BinOp, UnOp)):
-            lat = cls.latency
-            dep += lat
-            bt += lat * cycle_time
-            e += op_energy[cls]
-        else:  # Const, Move, Branch, Jump (Ret blocks are never folded)
-            dep += 1
-            bt += cycle_time
-            e += op_energy[cls]
-    return (
-        bt,
-        e,
-        len(instrs),
-        dep,
-        cc,
-        len(line_addrs) * hit_i,
-        n_d,
-        len(line_addrs),
-    )
+    n_lines = len(line_addrs)
+    outcomes = l1_outcomes(config, n_lines, instrs)
+    n_mem = len(outcomes) - n_lines
+    dt, de, dep = Lane(config, point, op_energy).time_block(
+        n_lines, timing_ops(instrs), outcomes)
+    return (dt, de, len(instrs), dep, n_mem * (1 + hit_d), n_lines * hit_i,
+            n_mem, n_lines)

@@ -8,21 +8,23 @@ to accelerate a (machine, program) pair:
 * ``consts(mode)`` — label -> folded per-execution delta tuple, built
   lazily per mode with the machine's own energy/cycle constants so the
   folded floats are bitwise what the interpreter would accumulate;
-* ``loop_fn(header, mode)`` — generated steady-state loop function
-  (:mod:`repro.perf.loopc`), compiled lazily per (loop, mode);
+* ``loop_fn(header, modes)`` — generated steady-state loop function
+  (:mod:`repro.perf.loopc`), compiled lazily per (loop, lane set): one
+  function commits every lane of a multi-mode pass;
 * ``loop_headers_disjoint(schedule)`` — the headers whose loops contain
   no scheduled edge (mode-sets must execute in the dispatcher, so such
   loops cannot be fast-forwarded).
 
 Compilation is best-effort throughout: any block or loop that fails to
 compile simply stays on the reference interpreter.  Instances are cached
-per machine, keyed by program identity, and rebuilt if the machine's
-configuration or mode table object changes.
+once per process, keyed by program identity, machine configuration and
+mode-table operating points (see :func:`program_fast`).
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import weakref
 
 from repro.ir.instructions import OpClass
@@ -91,21 +93,21 @@ class ProgramFast:
         table = self._consts.get(mode)
         if table is None:
             point = self.mode_table.points[mode]
-            ct = point.cycle_time_s
-            v = point.voltage
-            op_energy = {cls: self._energy.op_energy_nj(cls, v) for cls in OpClass}
+            op_energy = {cls: self._energy.op_energy_nj(cls, point.voltage)
+                         for cls in OpClass}
             table = {
                 label: fold_block_consts(self.blocks[label],
                                          self.block_lines[label],
-                                         self.config, ct, v, op_energy)
+                                         self.config, point, op_energy)
                 for label in self.block_fns
             }
             self._consts[mode] = table
         return table
 
-    def loop_fn(self, header: str, mode: int):
-        """The loop function for (header, mode), or None (cached)."""
-        key = (header, mode)
+    def loop_fn(self, header: str, modes: tuple[int, ...]):
+        """The loop function for ``header`` timing the lanes ``modes``
+        (one mode per lane, lane 0 first), or None (cached)."""
+        key = (header, modes)
         if key in self._loop_fns:
             return self._loop_fns[key]
         fn = None
@@ -114,7 +116,7 @@ class ProgramFast:
             try:
                 fn = compile_loop(header, body, self.blocks, self.block_lines,
                                   self.config, self.element_size,
-                                  self.consts(mode))
+                                  [self.consts(mode) for mode in modes])
             except Exception:
                 fn = None
         self._loop_fns[key] = fn
@@ -131,29 +133,40 @@ class ProgramFast:
         )
 
 
-def program_fast(machine, cfg) -> ProgramFast:
-    """The cached :class:`ProgramFast` for (machine, cfg).
+#: (id(cfg), config, mode points) -> (weakref to the CFG, ProgramFast),
+#: least recently used first.
+_PROGRAMS: dict = {}
+_PROGRAMS_LOCK = threading.Lock()
+_MAX_PROGRAMS = 64
 
-    The cache lives on the machine instance and keys programs by identity
-    (CFGs are mutable and unhashable); a stale entry whose CFG was
-    collected, or whose machine config/mode-table object changed, is
-    rebuilt.
+
+def program_fast(machine, cfg) -> ProgramFast:
+    """The process-wide cached :class:`ProgramFast` for (machine, cfg).
+
+    Keyed by program identity (CFGs are mutable and unhashable; a
+    weakref guards against a recycled id), the machine configuration and
+    the mode table's operating points *by value* — every
+    :class:`~repro.runtime.dag.MachineSpec` task builds a fresh machine
+    and mode table, and all of them share one compiled program.  At most
+    64 entries are kept: dead CFGs go first, then the least recently used.
     """
-    cache = machine.__dict__.setdefault("_perf_cache", {})
-    entry = cache.get(id(cfg))
-    if entry is not None:
-        ref, pf = entry
-        if (ref() is cfg and pf.config is machine.config
-                and pf.mode_table is machine.mode_table):
-            return pf
+    key = (id(cfg), machine.config, machine.mode_table.points)
+    with _PROGRAMS_LOCK:
+        entry = _PROGRAMS.pop(key, None)
+        if entry is not None and entry[0]() is cfg:
+            _PROGRAMS[key] = entry
+            return entry[1]
     pf = ProgramFast(machine, cfg)
     try:
         ref = weakref.ref(cfg)
     except TypeError:  # un-weakref-able CFG subclass: never cache-hit
         def ref():
             return None
-    cache[id(cfg)] = (ref, pf)
-    if len(cache) > 64:  # drop dead entries; bound per-machine growth
-        for key in [k for k, (r, _) in cache.items() if r() is None]:
-            del cache[key]
+    with _PROGRAMS_LOCK:
+        _PROGRAMS[key] = (ref, pf)
+        if len(_PROGRAMS) > _MAX_PROGRAMS:
+            for stale in [k for k, (r, _) in _PROGRAMS.items() if r() is None]:
+                del _PROGRAMS[stale]
+            while len(_PROGRAMS) > _MAX_PROGRAMS:
+                del _PROGRAMS[next(iter(_PROGRAMS))]
     return pf

@@ -6,16 +6,18 @@ lookup, a call, a consts unpack and the edge bookkeeping per block.  For a
 steady-state loop — back-edge returning to an already-seen (label, mode,
 cache signature) — this module compiles the *entire* loop body into one
 generated function: registers live in Python locals across iterations,
-per-block deltas are committed inline (the identical float operations the
-dispatcher performs, so totals stay bit-exact), and edge/path counts are
-updated as the compiled control flow runs.  The dispatcher calls the loop
-function once per loop *entry* and fast-forwards every remaining iteration
-without returning to Python-interpreting the program.
+per-block deltas are committed inline for every timing lane of the pass
+(the identical float operations the dispatcher performs, so totals stay
+bit-exact; one function per lane set, not per mode), and edge/path
+counts are updated as the compiled control flow runs.  The dispatcher
+calls the loop function once per loop *entry* and fast-forwards every
+remaining iteration without returning to Python-interpreting the
+program.
 
 Preconditions (checked by the dispatcher before entry): fast path active,
-pending set empty, no outstanding miss, no trace callback, and no schedule
-entry on any loop-internal edge (mode-sets must go through the
-dispatcher).  Inside, every access must stay L1-resident; any miss — or
+pending set empty, no outstanding miss in any lane, no trace callback,
+and no schedule entry on any loop-internal edge (mode-sets must go
+through the dispatcher).  Inside, every access must stay L1-resident; any miss — or
 any Python exception — bails back to the dispatcher *at the failing
 block*, with all previously committed state intact:
 
@@ -146,8 +148,8 @@ def _loop_live_in(body_labels, blocks):
 
 
 def compile_loop(header, body_labels, blocks, block_lines, config,
-                 element_size, consts):
-    """Compile one natural loop for one mode.
+                 element_size, lane_consts):
+    """Compile one natural loop for one lane set.
 
     Args:
         header: loop header label (``body_labels[0]``).
@@ -156,15 +158,19 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
         block_lines: label -> I-line byte addresses.
         config: machine configuration.
         element_size: program memory cell width.
-        consts: label -> folded per-execution delta tuple *for the mode
-            this loop function is being compiled for* (from
+        lane_consts: one table per lane, lane 0 first: label -> folded
+            per-execution delta tuple *for that lane's mode* (from
             :func:`repro.perf.blockc.fold_block_consts`).
 
     Returns:
         the loop function, or None when any body block is not compilable.
-        Signature: ``fn(regs, cells, dsets, isets, acct, edge_counts,
-        path_counts, st, prev)`` where ``st`` is the dispatcher's packed
-        state list; see the module docstring for the return protocol.
+        Signature: ``fn(regs, cells, dsets, isets, accts, edge_counts,
+        path_counts, st, prev)`` where ``accts`` holds each lane's
+        per-block accumulators and ``st`` is the dispatcher's packed
+        state list (lane ``j >= 1`` keeps its ``now`` in ``st[9 + j]``);
+        see the module docstring for the return protocol.  Every lane
+        commits each block's delta with the dispatcher's operations, so
+        the lanes cost one commit each per block, not one loop each.
     """
     body_set = set(body_labels)
     index = {label: i for i, label in enumerate(body_labels)}
@@ -205,11 +211,14 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
     lines: list[str] = []
     defaults: list[str] = []
 
+    lanes = range(len(lane_consts))
     for i, label in enumerate(body_labels):
         eb, binds = emitted[label]
-        dt, de, n_i, n_dep, n_cc, n_ic, n_d, n_l = consts[label]
-        defaults.append(f"_DT{i}={dt!r}")
-        defaults.append(f"_DE{i}={de!r}")
+        _, _, n_i, n_dep, n_cc, n_ic, n_d, n_l = lane_consts[0][label]
+        for j in lanes:
+            dt, de = lane_consts[j][label][:2]
+            defaults.append(f"_DT{i}_{j}={dt!r}")
+            defaults.append(f"_DE{i}_{j}={de!r}")
         cond = "if" if i == 0 else "elif"
         lines.append(f"        {cond} _lbl == {i}:")
         lines.append("            try:")
@@ -221,22 +230,22 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
             lines.append(f"            _cells[{idx_local}] = {val_local}")
         for gname, tname in binds:
             lines.append(f"            {gname} = {tname}")
-        # Accounting commit: the same operation sequence the dispatcher
-        # performs when replaying this block's delta.
-        lines.append(f"            _now = _now + _DT{i}")
+        # Accounting commit, per lane: the same operation sequence the
+        # dispatcher performs when replaying this block's delta.
         lines.append(f"            _c{i} += 1")
-        lines.append(f"            _s = _ts{i}; _t = _s + _DT{i}")
-        lines.append(
-            f"            _tc{i} += (_s - _t) + _DT{i} if _s >= _DT{i}"
-            f" else (_DT{i} - _t) + _s"
-        )
-        lines.append(f"            _ts{i} = _t")
-        lines.append(f"            _s = _es{i}; _t = _s + _DE{i}")
-        lines.append(
-            f"            _ec{i} += (_s - _t) + _DE{i} if _s >= _DE{i}"
-            f" else (_DE{i} - _t) + _s"
-        )
-        lines.append(f"            _es{i} = _t")
+        for j in lanes:
+            dt, de, ts, tc, es, ec = (f"_DT{i}_{j}", f"_DE{i}_{j}",
+                                      f"_ts{i}_{j}", f"_tc{i}_{j}",
+                                      f"_es{i}_{j}", f"_ec{i}_{j}")
+            lines.append(f"            _now{j} = _now{j} + {dt}")
+            lines.append(f"            _s = {ts}; _t = _s + {dt}")
+            lines.append(f"            {tc} += (_s - _t) + {dt} if _s >= {dt}"
+                         f" else ({dt} - _t) + _s")
+            lines.append(f"            {ts} = _t")
+            lines.append(f"            _s = {es}; _t = _s + {de}")
+            lines.append(f"            {ec} += (_s - _t) + {de} if _s >= {de}"
+                         f" else ({de} - _t) + _s")
+            lines.append(f"            {es} = _t")
         lines.append(
             f"            _ni += {n_i}; _dep += {n_dep}; _cc += {n_cc};"
             f" _ic += {n_ic}; _dh += {n_d}; _ih += {n_l}"
@@ -306,19 +315,23 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
             )
 
     header_lines = [
-        "def _loop(_regs, _cells, _DS, _IS, _acct, _EC, _PC, _st, _prev,",
+        "def _loop(_regs, _cells, _DS, _IS, _accts, _EC, _PC, _st, _prev,",
         "          " + ", ".join(defaults) + ("," if defaults else "") + "):",
-        "    _now = _st[0]; _ni = _st[1]; _dep = _st[2]; _cc = _st[3]",
+        "    _now0 = _st[0]; _ni = _st[1]; _dep = _st[2]; _cc = _st[3]",
         "    _ic = _st[4]; _dh = _st[5]; _ih = _st[6]; _ms = _st[7]",
         "    _it = 0; _nb = 0; _res = None",
     ]
+    header_lines.extend(f"    _now{j} = _st[{9 + j}]" for j in lanes if j)
     header_lines.extend(counter_inits)
     for i, label in enumerate(body_labels):
-        header_lines.append(f"    _a{i} = _acct[{label!r}]")
-        header_lines.append(
-            f"    _c{i} = _a{i}[0]; _ts{i} = _a{i}[1]; _tc{i} = _a{i}[2];"
-            f" _es{i} = _a{i}[3]; _ec{i} = _a{i}[4]"
-        )
+        for j in lanes:
+            a = f"_acc{i}_{j}"
+            header_lines.append(f"    {a} = _accts[{j}][{label!r}]")
+            header_lines.append(
+                f"    _ts{i}_{j} = {a}[1]; _tc{i}_{j} = {a}[2];"
+                f" _es{i}_{j} = {a}[3]; _ec{i}_{j} = {a}[4]"
+            )
+        header_lines.append(f"    _c{i} = _acc{i}_0[0]")
     # Register prologue: true loop-level live-ins load strictly (KeyError
     # = clean bail, nothing committed yet); registers always defined
     # before any possible read start as the sentinel.
@@ -336,15 +349,19 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
     ]
     footer.extend(flushes)
     footer.extend([
-        "    _st[0] = _now; _st[1] = _ni; _st[2] = _dep; _st[3] = _cc",
+        "    _st[0] = _now0; _st[1] = _ni; _st[2] = _dep; _st[3] = _cc",
         "    _st[4] = _ic; _st[5] = _dh; _st[6] = _ih",
         "    _st[8] = _it; _st[9] = _nb",
     ])
+    footer.extend(f"    _st[{9 + j}] = _now{j}" for j in lanes if j)
     for i, label in enumerate(body_labels):
-        footer.append(
-            f"    _a{i}[0] = _c{i}; _a{i}[1] = _ts{i}; _a{i}[2] = _tc{i};"
-            f" _a{i}[3] = _es{i}; _a{i}[4] = _ec{i}"
-        )
+        footer.append(f"    _acc{i}_0[0] = _c{i}")
+        for j in lanes:
+            a = f"_acc{i}_{j}"
+            footer.append(
+                f"    {a}[1] = _ts{i}_{j}; {a}[2] = _tc{i}_{j};"
+                f" {a}[3] = _es{i}_{j}; {a}[4] = _ec{i}_{j}"
+            )
     for reg in sorted(env.loop_defs):
         g = env.canonical(reg)
         if reg in strict:
@@ -357,6 +374,4 @@ def compile_loop(header, body_labels, blocks, block_lines, config,
     source = "\n".join(header_lines + lines + footer)
     namespace = dict(_LOOP_GLOBALS)
     exec(compile(source, f"<perf:loop:{header}>", "exec"), namespace)
-    fn = namespace["_loop"]
-    fn.__perf_source__ = source  # debugging aid
-    return fn
+    return namespace["_loop"]

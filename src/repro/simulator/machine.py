@@ -47,11 +47,31 @@ the pending set is empty, no miss is outstanding, and every I-line and
 touched D-line of the block is L1-resident; anything else falls back to
 the reference interpretation below (``fastpath=False`` or
 ``$REPRO_NO_FASTPATH=1`` disables the fast path entirely).
+
+One pass, many modes (lanes)
+============================
+
+``run(cfg, modes=[...])`` times one execution at several fixed modes.
+The functional state — registers, memory, L1/L2 LRU state, branch
+outcomes, pending-register membership and every count — runs once;
+only timing and energy are per mode.  The first mode's timing is this
+interpreter's locals, exactly as in a one-mode run; every further mode
+is a :class:`~repro.simulator.lanes.Lane` holding its own ``now``,
+outstanding miss, pending ready-times, stall time, overlap cycles and
+per-block accumulators.  An interpreted block records its cache-access
+outcomes, and each lane times them (:meth:`Lane.time_block
+<repro.simulator.lanes.Lane.time_block>`); a fast-path block replays
+each lane's folded delta, and a compiled loop commits every lane's
+delta inline (one loop function per lane set).  Each lane commits the
+floats, in the per-block order, that a one-mode run at its mode
+commits, so each lane's :class:`RunResult` is bit-identical to that
+run's.  A one-mode run is the one-lane case of the same loop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro import observe
 from repro.errors import ScheduleError, SimulationError
@@ -69,10 +89,12 @@ from repro.ir.instructions import (
     UnOp,
 )
 from repro.ir.interp import DataMemory, _FP_BINOPS, _INT_BINOPS, _UNOPS
+from repro.perf.accum import NeumaierSum
 from repro.simulator.cache import Cache, CacheHierarchy
 from repro.simulator.config import MachineConfig, SCALE_CONFIG
 from repro.simulator.dvs import ModeTable, TransitionCostModel, XSCALE_3, ZERO_TRANSITION
 from repro.simulator.energy import EnergyModel
+from repro.simulator.lanes import Lane, l1_outcomes, timing_ops
 
 # Decoded opcode kinds (tuple dispatch for speed).
 _CONST, _MOVE, _BINOP, _UNOP, _LOAD, _STORE, _BRANCH, _JUMP, _RET = range(9)
@@ -211,7 +233,8 @@ class Machine:
         max_steps: int = 200_000_000,
         trace: list | None = None,
         fastpath: bool | None = None,
-    ) -> RunResult:
+        modes: Sequence[int] | None = None,
+    ) -> RunResult | list[RunResult]:
         """Execute a program.
 
         Args:
@@ -231,17 +254,26 @@ class Machine:
             fastpath: per-run override of the machine's ``fastpath``
                 setting (None keeps it).  On or off, the RunResult is
                 bit-identical.
+            modes: time one pass at each of these fixed modes (one
+                :mod:`lane <repro.simulator.lanes>` per mode); excludes
+                ``mode``, ``schedule``, ``initial_mode`` and ``trace``.
 
         Returns:
-            a :class:`RunResult`.
+            a :class:`RunResult`; with ``modes``, a list of them in
+            ``modes`` order, each bit-identical to ``run(mode=m)``.
         """
         if not observe.enabled():
-            return self._run(cfg, inputs, registers, mode, schedule,
-                             initial_mode, max_steps, trace, fastpath)
+            results = self._run(cfg, inputs, registers, mode, schedule,
+                                initial_mode, max_steps, trace, fastpath, modes)
+            return results if modes is not None else results[0]
         with observe.span("simulator.run", program=cfg.name,
-                          scheduled=schedule is not None) as sp:
-            result = self._run(cfg, inputs, registers, mode, schedule,
-                               initial_mode, max_steps, trace, fastpath)
+                          scheduled=schedule is not None,
+                          lanes=len(modes) if modes is not None else 1) as sp:
+            results = self._run(cfg, inputs, registers, mode, schedule,
+                                initial_mode, max_steps, trace, fastpath, modes)
+            # Functional counts are the same in every lane; the cycle
+            # total is too (only its overlap/dependent split differs).
+            result = results[0]
             total_cycles = (result.overlap_cycles + result.dependent_cycles
                             + result.cache_cycles + result.dmiss_sync_cycles
                             + result.ifetch_cycles)
@@ -263,7 +295,7 @@ class Machine:
         observe.record("simulator.run_wall_s", sp.elapsed_s)
         if sp.elapsed_s > 0:
             observe.gauge("simulator.cycles_per_sec", total_cycles / sp.elapsed_s)
-        return result
+        return results if modes is not None else result
 
     def _run(
         self,
@@ -276,9 +308,25 @@ class Machine:
         max_steps: int,
         trace: list | None,
         fastpath: bool | None = None,
-    ) -> RunResult:
-        # The uninstrumented interpreter loop; run() wraps it with the
-        # span/counter layer so the hot loop itself stays untouched.
+        modes: Sequence[int] | None = None,
+    ) -> list[RunResult]:
+        # The uninstrumented interpreter loop, one RunResult per lane;
+        # run() wraps it with the span/counter layer so the hot loop
+        # itself stays untouched.
+        lane_modes = [mode] if modes is None else list(modes)
+        if modes is not None:
+            if mode is not None or schedule is not None or initial_mode is not None:
+                raise ScheduleError("modes= runs fixed-mode lanes: pass no "
+                                    "mode, schedule or initial_mode with it")
+            if trace is not None:
+                raise SimulationError("a trace follows one mode; it cannot "
+                                      "record a multi-mode pass")
+            if not lane_modes:
+                raise ScheduleError("no modes requested")
+            for m in lane_modes:
+                if not 0 <= m < len(self.mode_table):
+                    raise ScheduleError(f"invalid mode index {m}")
+            mode = lane_modes[0]
         if mode is not None and schedule is not None:
             raise ScheduleError("pass either a fixed mode or a schedule, not both")
         if schedule is not None:
@@ -321,6 +369,9 @@ class Machine:
         ]
         cycle_times = [p.cycle_time_s for p in mode_points]
         voltages = [p.voltage for p in mode_points]
+        # Lanes 1.. of a multi-mode pass (lane 0 is this loop's locals).
+        extra = [Lane(self.config, mode_points[m], op_energy_tables[m], cfg.blocks)
+                 for m in lane_modes[1:]]
 
         regs: dict[str, float] = dict(registers or {})
         pending: dict[str, float] = {}  # register -> wall time when ready
@@ -370,6 +421,29 @@ class Machine:
         mem_write = memory.write
         daccess = dcache.access
         iaccess = icache.access
+        lanes_busy = False  # some extra lane has a miss outstanding
+        if extra:
+            # The lanes time each interpreted block from its cache-access
+            # outcomes, recorded in issue order; a fast-path block hit L1
+            # throughout.
+            block_tops = {}
+            for blabel, block in cfg.blocks.items():
+                n_lines = len(block_lines[blabel])
+                block_tops[blabel] = (
+                    n_lines, timing_ops(block.instructions),
+                    l1_outcomes(self.config, n_lines, block.instructions))
+            outcomes: list = []
+            record = outcomes.append
+
+            def daccess(address, _access=dcache.access):
+                res = _access(address)
+                record(res)
+                return res
+
+            def iaccess(address, _access=icache.access):
+                res = _access(address)
+                record(res)
+                return res
 
         # ---- fast-path setup (repro.perf) -----------------------------------
         use_fast = self.fastpath if fastpath is None else bool(fastpath)
@@ -391,9 +465,13 @@ class Machine:
                 pf = program_fast(self, cfg)
                 fast_fns = pf.block_fns
                 fast_consts = pf.consts(current_mode)
+                for lane, m in zip(extra, lane_modes[1:]):
+                    lane.consts = pf.consts(m)
                 if trace is None:
                     loop_ok = pf.loop_headers_disjoint(schedule)
-                _st = [0.0] * 10
+                loop_key = tuple(lane_modes) if extra else (current_mode,)
+                accts = (acct, *[lane.acct for lane in extra])
+                _st = [0.0] * (10 + len(extra))
         dl1 = dcache.l1
         il1 = icache.l1
         dsets = dl1.sets
@@ -409,8 +487,8 @@ class Machine:
             if fast_fns is not None and not pending and now >= miss_done:
                 # -- steady-state loop fast-forward: stay in compiled code
                 # across back-edges, committing identical per-block deltas.
-                if label in loop_ok:
-                    lf = pf.loop_fn(label, current_mode)
+                if label in loop_ok and not lanes_busy:
+                    lf = pf.loop_fn(label, loop_key)
                     if lf is not None:
                         _st[0] = now
                         _st[1] = instructions
@@ -422,13 +500,19 @@ class Machine:
                         _st[7] = max_steps
                         _st[8] = 0
                         _st[9] = 0
+                        if extra:
+                            for j, lane in enumerate(extra, 10):
+                                _st[j] = lane.now
                         loop_entries += 1
                         try:
-                            res = lf(regs, cells, dsets, isets, acct,
+                            res = lf(regs, cells, dsets, isets, accts,
                                      edge_counts, path_counts, _st, prev_block)
                         except Exception:
                             res = None
                         if res is not None:
+                            if extra:
+                                for j, lane in enumerate(extra, 10):
+                                    lane.now = _st[j]
                             now = _st[0]
                             instructions = _st[1]
                             dependent_cycles = _st[2]
@@ -486,6 +570,17 @@ class Machine:
                             ifetch_cycles += n_ic
                             dl1.hits += n_d
                             il1.hits += n_l
+                            if lanes_busy:
+                                # A lane still waiting on a miss times the
+                                # all-L1 execution; the others replay.
+                                n_lines, tops, l1_hits = block_tops[label]
+                                for lane in extra:
+                                    lane.step(label, n_lines, tops, l1_hits, True)
+                                lanes_busy = any(lane.now < lane.miss_done
+                                                 for lane in extra)
+                            elif extra:
+                                for lane in extra:
+                                    lane.replay(label)
                             fast_blocks += 1
                             next_label = nxt
                             fast_committed = True
@@ -729,6 +824,13 @@ class Machine:
                     t = s + m_local
                     mem_c += (s - t) + m_local if s >= m_local else (m_local - t) + s
                     mem_s = t
+                if extra:
+                    n_lines, tops, _ = block_tops[label]
+                    resident = all(res.level == "l1" for res in outcomes)
+                    for lane in extra:
+                        lane.step(label, n_lines, tops, outcomes, resident)
+                    outcomes.clear()
+                    lanes_busy = any(lane.now < lane.miss_done for lane in extra)
 
                 if finished:
                     break
@@ -767,26 +869,10 @@ class Machine:
                         # delta table with the mode (never reuse stale
                         # deltas priced at the previous operating point).
                         fast_consts = pf.consts(current_mode)
+                        loop_key = (current_mode,)
 
             prev_block = label
             label = next_label
-
-        # -- run assembly: totals from per-block compensated accumulators ----
-        from repro.perf.accum import NeumaierSum
-
-        cpu_total = NeumaierSum()
-        block_stats: dict[str, BlockStats] = {}
-        for blabel, a in acct.items():
-            e_nj = a[3] + a[4]
-            block_stats[blabel] = BlockStats(count=a[0], time_s=a[1] + a[2],
-                                             cpu_energy_nj=e_nj)
-            cpu_total.add(e_nj)
-        cpu_total.add(transition_energy_nj)
-        cpu_energy = cpu_total.value
-        memory_energy = mem_s + mem_c
-
-        energy.cpu_energy_nj = cpu_energy
-        energy.memory_energy_nj = memory_energy
 
         self.last_fastpath_stats = {
             "enabled": int(fast_fns is not None),
@@ -799,29 +885,58 @@ class Machine:
 
         cache_stats = dcache.stats()
         cache_stats.update({f"i_{k}": v for k, v in icache.stats().items()})
-
-        return RunResult(
+        shared = dict(
             return_value=return_value,
-            wall_time_s=now,
-            cpu_energy_nj=cpu_energy,
-            memory_energy_nj=memory_energy,
+            memory_energy_nj=mem_s + mem_c,
             instructions=instructions,
-            block_stats=block_stats,
             edge_counts=edge_counts,
             path_counts=path_counts,
             cache_stats=cache_stats,
-            overlap_cycles=overlap_cycles,
-            dependent_cycles=dependent_cycles,
             cache_cycles=cache_cycles,
             dmiss_sync_cycles=dmiss_sync_cycles,
             ifetch_cycles=ifetch_cycles,
             mem_misses=mem_misses,
             t_invariant_s=mem_misses * mem_latency,
-            gated_wait_s=gated_wait,
             mode_transitions=mode_transitions,
             modeset_executions=modeset_executions,
             transition_energy_nj=transition_energy_nj,
             transition_time_s=transition_time_s,
-            final_mode=current_mode,
             memory=memory,
         )
+        compute_cycles = overlap_cycles + dependent_cycles
+        results = [_assemble(acct, acct, shared, now, gated_wait,
+                             overlap_cycles, dependent_cycles, current_mode)]
+        for lane, m in zip(extra, lane_modes[1:]):
+            results.append(_assemble(
+                acct, lane.acct, shared, lane.now, lane.gated_wait,
+                lane.overlap_cycles, compute_cycles - lane.overlap_cycles, m))
+        return results
+
+
+def _assemble(counts_acct, acct, shared, wall_time_s, gated_wait_s,
+              overlap_cycles, dependent_cycles, final_mode) -> RunResult:
+    """One lane's RunResult: totals from its per-block compensated
+    accumulators, block counts from ``counts_acct`` (lane 0's — counts
+    are functional), functional fields from ``shared``."""
+    cpu_total = NeumaierSum()
+    block_stats: dict[str, BlockStats] = {}
+    for label, a in acct.items():
+        e_nj = a[3] + a[4]
+        block_stats[label] = BlockStats(count=counts_acct[label][0],
+                                        time_s=a[1] + a[2], cpu_energy_nj=e_nj)
+        cpu_total.add(e_nj)
+    cpu_total.add(shared["transition_energy_nj"])
+    fields = dict(shared)
+    if acct is not counts_acct:  # each lane owns its dicts
+        for key in ("edge_counts", "path_counts", "cache_stats"):
+            fields[key] = dict(fields[key])
+    return RunResult(
+        wall_time_s=wall_time_s,
+        cpu_energy_nj=cpu_total.value,
+        block_stats=block_stats,
+        overlap_cycles=overlap_cycles,
+        dependent_cycles=dependent_cycles,
+        gated_wait_s=gated_wait_s,
+        final_mode=final_mode,
+        **fields,
+    )

@@ -165,6 +165,10 @@ def verify_program(
         )
         if not record(oracle.name, oracle.ok, oracle.detail):
             return results
+        oracle = oracles.profile_matches_per_mode(
+            machine, cfg, inputs=inputs, registers=registers)
+        if not record(oracle.name, oracle.ok, oracle.detail):
+            return results
 
         tuned = compile_program(source, "verify-tuned")
         run_passes(tuned)

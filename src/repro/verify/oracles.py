@@ -343,3 +343,50 @@ def fastpath_matches_reference(
         f"{stats.get('fast_blocks', 0)} fast blocks, "
         f"{stats.get('loop_iterations', 0)} fast-forwarded iterations)",
     )
+
+
+def profile_matches_per_mode(
+    machine,
+    cfg: CFG,
+    inputs: dict[str, list] | None = None,
+    registers: dict[str, float] | None = None,
+) -> OracleResult:
+    """The one-pass multi-mode profile equals one built from one-mode runs.
+
+    For the fast path on and off: profiles the program in one lockstep
+    pass over every mode, runs it once per mode on a fresh machine,
+    assembles those runs, and compares the serialized profiles (every
+    float to the bit, in order) plus each run's edge and path counts.
+    """
+    import json
+
+    from repro.profiling.profiler import profile_from_runs, profile_program
+    from repro.profiling.serialize import profile_to_dict
+    from repro.simulator.machine import Machine
+
+    name = "profile-matches-per-mode"
+    modes = range(len(machine.mode_table))
+
+    def fresh(fastpath: bool) -> Machine:
+        return Machine(machine.config, machine.mode_table,
+                       machine.transition_model, fastpath=fastpath)
+
+    for fastpath in (True, False):
+        path = "fast path" if fastpath else "reference"
+        profile = profile_program(fresh(fastpath), cfg, inputs=inputs,
+                                  registers=registers)
+        runs = {m: fresh(fastpath).run(cfg, inputs=inputs, registers=registers,
+                                       mode=m)
+                for m in modes}
+        for mode, run in runs.items():
+            if (run.edge_counts != profile.edge_counts
+                    or run.path_counts != profile.path_counts):
+                return _failed(name, f"{path}: mode {mode} took another path "
+                                     f"than the one-pass profile")
+        one_pass = profile_to_dict(profile)
+        per_mode = profile_to_dict(profile_from_runs(cfg.name, len(modes), runs))
+        if json.dumps(one_pass) != json.dumps(per_mode):
+            diverged = [key for key in one_pass if one_pass[key] != per_mode[key]]
+            return _failed(name, f"{path}: profiles diverge in {diverged}")
+    return _passed(name, f"{len(modes)} lanes bit-identical to one-mode runs, "
+                         f"fast path on and off")

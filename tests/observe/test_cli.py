@@ -67,6 +67,25 @@ class TestTraceCommand:
         out = capsys.readouterr().out
         assert "count" in out and "simulator.run" in out
 
+    def test_summarize_by_kind_has_one_row_per_stage(self, traced_outdir,
+                                                     capsys):
+        assert main(["trace", "summarize", str(traced_outdir),
+                     "--by", "kind"]) == 0
+        rows = capsys.readouterr().out.splitlines()[2:]
+        counts = {row.split()[0]: int(row.split()[1]) for row in rows}
+        # One workload at one deadline: each stage runs once, and each
+        # task has an executor span and a worker span.
+        for kind in ("compile", "profile", "bound", "optimize", "simulate",
+                     "verify"):
+            assert counts[f"executor.task[kind={kind}]"] == 1
+            assert counts[f"worker.task[kind={kind}]"] == 1
+        assert len(counts) == 12
+
+    def test_summarize_by_missing_attribute(self, traced_outdir, capsys):
+        assert main(["trace", "summarize", str(traced_outdir),
+                     "--by", "no-such-attr"]) == 0
+        assert "no spans carry attribute" in capsys.readouterr().out
+
     def test_missing_dir_exits_2(self, tmp_path, capsys):
         assert main(["trace", "show", str(tmp_path / "nope")]) == 2
         err = capsys.readouterr().err

@@ -73,6 +73,36 @@ class TestProfileStructure:
         with pytest.raises(ProfileError):
             profile_program(machine3, small_cfg, modes=[])
 
+    @pytest.mark.parametrize("modes", [[3], [-1], [0, 3]])
+    def test_out_of_range_mode_rejected_before_simulating(
+            self, machine3, small_cfg, modes, monkeypatch):
+        monkeypatch.setattr(machine3, "run", _no_simulation)
+        with pytest.raises(ProfileError, match="out of range"):
+            profile_program(machine3, small_cfg, modes=modes)
+
+    @pytest.mark.parametrize("modes", [[2, 2], [0, 1, 0]])
+    def test_repeated_mode_rejected_before_simulating(
+            self, machine3, small_cfg, modes, monkeypatch):
+        monkeypatch.setattr(machine3, "run", _no_simulation)
+        with pytest.raises(ProfileError, match="repeat"):
+            profile_program(machine3, small_cfg, modes=modes)
+
+    def test_lane_order_follows_modes(self, machine3, small_cfg, small_inputs,
+                                      small_registers, small_profile):
+        """Any order of the same modes profiles the same data, keyed in
+        the requested order."""
+        profile = profile_program(machine3, small_cfg, inputs=small_inputs,
+                                  registers=small_registers, modes=[2, 0, 1])
+        assert list(profile.per_mode) == [2, 0, 1]
+        for mode in (0, 1, 2):
+            assert profile.per_mode[mode] == small_profile.per_mode[mode]
+            assert profile.wall_time_s[mode] == small_profile.wall_time_s[mode]
+        assert profile.params == small_profile.params
+
+
+def _no_simulation(*args, **kwargs):
+    raise AssertionError("profile_program simulated before validating modes")
+
 
 class TestValidation:
     def test_count_mismatch_detected(self):

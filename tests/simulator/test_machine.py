@@ -3,7 +3,7 @@ asynchronous memory, DVS transitions."""
 
 import pytest
 
-from repro.errors import ScheduleError
+from repro.errors import ScheduleError, SimulationError
 from repro.ir import FunctionBuilder, interpret
 from repro.ir.cfg import ENTRY_EDGE_SOURCE
 from repro.lang import compile_program
@@ -230,3 +230,48 @@ class TestDVSExecution:
         assert result.transition_energy_nj == 0.0
         assert result.modeset_executions > 10
         assert result.cpu_energy_nj == pytest.approx(baseline.cpu_energy_nj)
+
+
+class TestLanes:
+    """``run(modes=...)``: one functional pass, one timing lane per mode."""
+
+    @staticmethod
+    def _fields(result):
+        fields = dict(vars(result))
+        memory = fields.pop("memory")
+        return fields, memory.cells
+
+    @pytest.mark.parametrize("fastpath", [True, False])
+    @pytest.mark.parametrize("modes", [(0, 1, 2), (2, 0), (1,)])
+    def test_each_lane_equals_its_one_mode_run(self, modes, fastpath):
+        """A streaming loop keeps misses outstanding and registers pending
+        in every lane; each lane's RunResult is still bit-identical."""
+        cfg, inputs = streaming_loop(4096)
+        lanes = Machine(fastpath=fastpath).run(cfg, inputs=inputs, modes=modes)
+        assert len(lanes) == len(modes)
+        for mode, lane in zip(modes, lanes):
+            solo = Machine(fastpath=fastpath).run(cfg, inputs=inputs, mode=mode)
+            assert self._fields(lane) == self._fields(solo)
+            assert lane.final_mode == mode
+
+    def test_lanes_own_their_counts(self):
+        first, second = Machine().run(compute_loop(50), modes=(0, 2))
+        assert first.edge_counts == second.edge_counts
+        assert first.edge_counts is not second.edge_counts
+
+    @pytest.mark.parametrize("kwargs", [
+        {"mode": 0}, {"initial_mode": 0},
+        {"schedule": {(ENTRY_EDGE_SOURCE, "entry"): 0}},
+    ])
+    def test_lanes_exclude_other_mode_arguments(self, kwargs):
+        with pytest.raises(ScheduleError):
+            Machine().run(compute_loop(5), modes=(0, 1), **kwargs)
+
+    @pytest.mark.parametrize("modes", [(), (0, 3), (-1,)])
+    def test_invalid_lane_modes_rejected(self, modes):
+        with pytest.raises(ScheduleError):
+            Machine().run(compute_loop(5), modes=modes)
+
+    def test_trace_cannot_follow_lanes(self):
+        with pytest.raises(SimulationError):
+            Machine().run(compute_loop(5), modes=(0, 1), trace=[])

@@ -99,3 +99,30 @@ class TestAnalyticalBound:
             params, small_deadline, machine3.mode_table, milp_savings=0.99
         )
         assert not result.ok
+
+
+class TestProfileMatchesPerMode:
+    def test_one_pass_profile_matches(
+        self, machine3, small_cfg, small_inputs, small_registers
+    ):
+        result = oracles.profile_matches_per_mode(
+            machine3, small_cfg, inputs=small_inputs, registers=small_registers
+        )
+        assert result.ok, result.detail
+
+    def test_a_mistimed_lane_fails(
+        self, machine3, small_cfg, small_inputs, small_registers, monkeypatch
+    ):
+        from repro.simulator.lanes import Lane
+
+        commit = Lane.commit
+
+        def late_commit(self, label, bt, e):
+            commit(self, label, bt * (1 + 1e-12), e)
+
+        monkeypatch.setattr(Lane, "commit", late_commit)
+        result = oracles.profile_matches_per_mode(
+            machine3, small_cfg, inputs=small_inputs, registers=small_registers
+        )
+        assert not result.ok
+        assert "per_mode" in result.detail
